@@ -6,7 +6,7 @@ Paper: a 117 GB sorted BAM converted to BED, BEDGRAPH and FASTA on 1 to
 tasks are independent.
 
 Like Fig. 6, this bench additionally measures the batched pipeline
-(raw-slab reads + field-level fastpaths over the fixed BAMX layout)
+(BAMX row slabs read as column slabs through the vectorized kernels)
 against the record-at-a-time pipeline on a single rank; smoke mode
 (``REPRO_BENCH_SMOKE``) runs only that comparison.
 """
@@ -105,6 +105,6 @@ def test_fig7_bam_full_conversion_speedup(benchmark, tmp_path):
             assert b > 0.98 * a, (target, speedups)
         # Still gaining at the high end.
         assert speedups[-1] > speedups[4], target
-    # Field-level fastpaths must beat record-at-a-time decisively.
+    # The column kernels must beat record-at-a-time decisively.
     for target, row in comparison.items():
         assert row["batched_speedup"] >= 1.5, (target, row)

@@ -95,6 +95,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     from .core import BamConverter, SamConverter, parse_filter_expr
+    from .formats.store import STORE_EXTENSIONS
     record_filter = parse_filter_expr(args.filter) if args.filter \
         else None
     source = args.input.lower()
@@ -107,7 +108,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
             tuner=tuner).convert(
                 args.input, args.target, args.out_dir, args.nprocs,
                 args.executor, record_filter=record_filter)
-    elif source.endswith((".bamx", ".bamz", ".bamc")):
+    elif source.endswith(STORE_EXTENSIONS):
         result = BamConverter(
             batch_size=args.batch_size,
             pipeline=args.pipeline,
@@ -195,8 +196,8 @@ def _cmd_histogram(args: argparse.Namespace) -> int:
     from .formats.sam import SamReader
     from .stats import histogram_from_records, histogram_from_store, \
         histogram_to_bedgraph
-    if args.input.lower().endswith((".bamx", ".bamz", ".bamc")):
-        from .formats.store import open_record_store
+    from .formats.store import STORE_EXTENSIONS, open_record_store
+    if args.input.lower().endswith(STORE_EXTENSIONS):
         with open_record_store(args.input) as reader:
             histos = histogram_from_store(reader, args.bin_size)
     else:

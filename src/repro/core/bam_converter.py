@@ -27,7 +27,6 @@ import time
 from dataclasses import dataclass, replace
 
 from ..errors import ConversionError
-from ..formats import batch as batch_codec
 from ..formats.bam import BamReader
 from ..formats.baix import BaixIndex, default_index_path
 from ..formats.bamx import BamxLayout, BamxWriter
@@ -112,28 +111,17 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
             writer_ctx = BamxWriter(bamx_path, header, layout)
         index_entries = []
         with tracer.span("write", "bam", args={"records": count}), \
-                BamReader(bam_path) as reader, writer_ctx as writer:
-            if hasattr(writer, "write_batch"):
-                # BAMX: batch-encode into one preallocated buffer per
-                # slab (BAMZ needs per-record virtual offsets and keeps
-                # the per-record path).
-                pending: list = []
-                with tracer.span("batch.encode", "bam",
-                                 args={"batch_size": batch_size}):
-                    for record in reader:
-                        pending.append(record)
-                        if len(pending) >= batch_size:
-                            _flush_preproc_batch(writer, pending,
-                                                 index_entries)
-                            pending = []
-                    if pending:
-                        _flush_preproc_batch(writer, pending,
-                                             index_entries)
-            else:
-                for record in reader:
-                    index = writer.write(record)
-                    if record.rname != "*" and record.pos >= 0:
-                        index_entries.append((index, record))
+                BamReader(bam_path) as reader, writer_ctx as writer, \
+                tracer.span("batch.encode", "bam",
+                            args={"batch_size": batch_size}):
+            pending: list = []
+            for record in reader:
+                pending.append(record)
+                if len(pending) >= batch_size:
+                    _flush_preproc_batch(writer, pending, index_entries)
+                    pending = []
+            if pending:
+                _flush_preproc_batch(writer, pending, index_entries)
         with tracer.span("index", "bam",
                          args={"entries": len(index_entries)}):
             BaixIndex.build(index_entries, header).save(baix_path)
@@ -148,7 +136,7 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     return finish_rank_metrics(metrics, t0)
 
 
-def _flush_preproc_batch(writer: BamxWriter, records: list,
+def _flush_preproc_batch(writer, records: list,
                          index_entries: list) -> None:
     """Write one preprocessing batch and collect its index entries."""
     first = writer.write_batch(records)
@@ -275,25 +263,18 @@ class BamxPickSpec:
 
 
 def _bamx_range_task(spec: BamxRangeSpec) -> RankMetrics:
-    """Convert records ``[start, stop)`` of a BAMX/BAMZ store."""
-    from ..formats.store import open_record_store
+    """Convert records ``[start, stop)`` of a record store."""
     t0 = time.perf_counter()
     metrics = RankMetrics()
     with open_record_store(spec.bamx_path) as reader:
         target = bind_target(get_target(spec.target), reader.header)
         metrics.bytes_read += (spec.stop - spec.start) \
             * reader.layout.record_size
-        if spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_column_batches"):
-            slabs = reader.read_column_batches(spec.start, spec.stop)
+        if spec.pipeline == "batch" and target.mode == "text":
+            slabs = reader.read_column_batches(spec.start, spec.stop,
+                                               spec.batch_size)
             _write_target_columnar(slabs, reader, target, spec,
                                    metrics)
-        elif spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_raw_batches"):
-            slabs = reader.read_raw_batches(spec.start, spec.stop,
-                                            spec.batch_size)
-            _write_target_batched(slabs, reader, target, spec,
-                                  metrics)
         else:
             records = spec.record_filter.apply(
                 reader.read_range(spec.start, spec.stop))
@@ -304,75 +285,22 @@ def _bamx_range_task(spec: BamxRangeSpec) -> RankMetrics:
 
 def _bamx_pick_task(spec: BamxPickSpec) -> RankMetrics:
     """Convert an explicit set of record indices (random access)."""
-    from ..formats.store import open_record_store
     t0 = time.perf_counter()
     metrics = RankMetrics()
     with open_record_store(spec.bamx_path) as reader:
         target = bind_target(get_target(spec.target), reader.header)
         metrics.bytes_read += len(spec.indices) * reader.layout.record_size
-        if spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_column_picks"):
-            slabs = reader.read_column_picks(spec.indices)
+        if spec.pipeline == "batch" and target.mode == "text":
+            slabs = reader.read_column_picks(spec.indices,
+                                             spec.batch_size)
             _write_target_columnar(slabs, reader, target, spec,
                                    metrics)
-        elif spec.pipeline == "batch" and target.mode == "text" \
-                and hasattr(reader, "read_raw"):
-            slabs = ((memoryview(reader.read_raw(i)), 1)
-                     for i in spec.indices)
-            _write_target_batched(slabs, reader, target, spec,
-                                  metrics)
         else:
             records = spec.record_filter.apply(
                 reader[i] for i in spec.indices)
             _write_target(records, target, reader.header, spec.out_path,
                           metrics, spec.write_header)
     return finish_rank_metrics(metrics, t0)
-
-
-def _write_target_batched(slabs, reader, target, spec,
-                          metrics: RankMetrics) -> None:
-    """Batched text conversion of raw record slabs.
-
-    *slabs* yields ``(memoryview, count)`` pairs; records with a field
-    fastpath never materialize, others decode record-at-a-time inside
-    the same chunked writes.  Byte-identical to the per-record path.
-    """
-    tracer = get_tracer()
-    layout, header = reader.layout, reader.header
-    fast_emit = batch_codec.bamx_fastpath_for(target, layout, header)
-    seen = emitted = batches = 0
-    with tracer.span("write", "io",
-                     args={"out": os.path.basename(spec.out_path)}), \
-            tracer.span("batch.pipeline", "bam",
-                        args={"batch_size": spec.batch_size,
-                              "fastpath": fast_emit is not None,
-                              "target": spec.target}) as span, \
-            BufferedTextWriter(spec.out_path, metrics=metrics) as writer:
-        head = target.file_header(header)
-        if head and spec.write_header:
-            writer.write_text(head)
-        out_lines: list[str] = []
-        for buf, count in slabs:
-            if fast_emit is not None:
-                s, e = batch_codec.convert_bamx_slab(
-                    buf, count, layout, fast_emit, spec.record_filter,
-                    out_lines)
-            else:
-                s, e = batch_codec.convert_bamx_slab_record(
-                    buf, count, layout, header, target,
-                    spec.record_filter, out_lines)
-            seen += s
-            emitted += e
-            batches += 1
-            if len(out_lines) >= spec.batch_size:
-                writer.write_lines(out_lines)
-                out_lines = []
-        if out_lines:
-            writer.write_lines(out_lines)
-        if span is not None:
-            span.args.update(batches=batches, records=seen)
-    metrics.records += seen
-    metrics.emitted += emitted
 
 
 def _write_target_columnar(slabs, reader, target, spec,
@@ -468,11 +396,11 @@ class BamConverter:
     Parameters
     ----------
     batch_size:
-        Records per raw slab through the batched conversion phase.
+        Records per column slab through the batched conversion phase.
     pipeline:
-        ``"batch"`` (default) converts raw record slabs through the
-        field-level fastpaths; ``"record"`` decodes every record.
-        Outputs are byte-identical.
+        ``"batch"`` (default) converts column slabs of any record store
+        through the vectorized kernels; ``"record"`` decodes every
+        record and is the reference.  Outputs are byte-identical.
     shards_per_rank:
         Over-decomposition factor: each rank's record range is split
         into up to this many shards pulled dynamically by the shared
@@ -481,9 +409,8 @@ class BamConverter:
     store_format:
         Record-store format :meth:`preprocess` writes: ``"bamx"``
         (default; row-major fixed records, BAMZ when compressed) or
-        ``"bamc"`` (slab-columnar, converted through the vectorized
-        kernels).  Conversion itself dispatches on the store's magic,
-        so either converter reads either store.
+        ``"bamc"`` (slab-columnar).  Conversion itself dispatches on
+        the store's magic, so either converter reads either store.
     tuner:
         :class:`~repro.runtime.autotune.AutoTuner` resolving ``"auto"``
         knobs and learning from every run; auto-created in-memory when
@@ -631,75 +558,9 @@ class BamConverter:
         split evenly across ranks for random-access conversion
         (§III-B).  *record_filter* further restricts by flags/MAPQ.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
-        bamx_path = os.fspath(bamx_path)
-        out_dir = os.fspath(out_dir)
-        os.makedirs(out_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        if mode not in ("start", "overlap"):
-            raise ConversionError(
-                f"unknown partial-conversion mode {mode!r}; choose "
-                f"'start' or 'overlap'")
-        tracer = get_tracer()
-        with tracer.span("convert.region", "bam",
-                         args={"store": os.path.basename(bamx_path),
-                               "target": target, "nprocs": nprocs,
-                               "mode": mode}):
-            with open_record_store(bamx_path) as reader:
-                header = reader.header
-            if isinstance(region, str):
-                region = GenomicRegion.parse(region, header)
-            ref_id = header.ref_id(region.chrom)
-            with tracer.span("locate", "bam", args={"mode": mode}):
-                if mode == "start":
-                    if baix_path is None:
-                        baix_path = default_index_path(bamx_path)
-                    index = BaixIndex.load(baix_path)
-                    lo, hi = index.locate(ref_id, region.start, region.end)
-                    indices = index.record_indices(lo, hi)
-                else:
-                    from ..formats.baix2 import BaixOverlapIndex
-                    from ..formats.baix2 import default_index_path \
-                        as baix2_path
-                    if baix_path is None:
-                        baix_path = baix2_path(bamx_path)
-                    index2 = BaixOverlapIndex.load(baix_path)
-                    indices = index2.locate_overlaps(ref_id, region.start,
-                                                     region.end)
-            target_plugin = get_target(target)
-            stem = os.path.splitext(os.path.basename(bamx_path))[0]
-            shards, batch_size, tuning = resolve_tuning(
-                self.tuner, target=target,
-                store_format=self._store_kind(bamx_path),
-                pipeline=f"{self.pipeline}.pick",
-                total_units=len(indices), nprocs=nprocs,
-                shards=self.shards_per_rank,
-                batch_size=self.batch_size,
-                default_batch=DEFAULT_BATCH_SIZE)
-            specs = [
-                BamxPickSpec(bamx_path,
-                             tuple(int(i) for i in indices[start:stop]),
-                             target,
-                             make_output_path(out_dir, f"{stem}.region",
-                                              rank, target_plugin),
-                             record_filter or ACCEPT_ALL,
-                             batch_size, self.pipeline)
-                for rank, (start, stop)
-                in enumerate(partition_records(len(indices), nprocs))
-            ]
-            rank_metrics = execute_rank_tasks(
-                _bamx_pick_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
-            record_tuning(tracer, tuning)
-        return ConversionResult(
-            target=target,
-            outputs=[s.out_path for s in specs],
-            rank_metrics=rank_metrics,
-            records=sum(m.records for m in rank_metrics),
-            emitted=sum(m.emitted for m in rank_metrics),
-            wall_seconds=time.perf_counter() - t0,
-        )
+        return self._convert_picks(
+            "convert.region", ".region", bamx_path, baix_path, [region],
+            target, out_dir, nprocs, executor, mode, record_filter)
 
     def convert_regions(self, bamx_path: str | os.PathLike[str],
                         baix_path: str | os.PathLike[str] | None,
@@ -715,10 +576,28 @@ class BamConverter:
         of the "more partial conversion types" the paper's future work
         calls for.  Parameters match :meth:`convert_region`.
         """
-        if nprocs < 1:
-            raise ConversionError(f"nprocs {nprocs} must be >= 1")
         if not regions:
             raise ConversionError("convert_regions needs >= 1 region")
+        return self._convert_picks(
+            "convert.regions", ".regions", bamx_path, baix_path, regions,
+            target, out_dir, nprocs, executor, mode, record_filter)
+
+    def _convert_picks(self, span_name: str, suffix: str,
+                       bamx_path: str | os.PathLike[str],
+                       baix_path: str | os.PathLike[str] | None,
+                       regions: list, target: str,
+                       out_dir: str | os.PathLike[str], nprocs: int,
+                       executor: str, mode: str,
+                       record_filter: RecordFilter | None,
+                       ) -> ConversionResult:
+        """Convert the records the index selects for *regions*.
+
+        Indices keep the index's order within a region and first-seen
+        order across regions, without duplicates.  Part files are
+        ``<stem><suffix>.partNNNN``.
+        """
+        if nprocs < 1:
+            raise ConversionError(f"nprocs {nprocs} must be >= 1")
         if mode not in ("start", "overlap"):
             raise ConversionError(
                 f"unknown partial-conversion mode {mode!r}; choose "
@@ -728,7 +607,7 @@ class BamConverter:
         os.makedirs(out_dir, exist_ok=True)
         t0 = time.perf_counter()
         tracer = get_tracer()
-        with tracer.span("convert.regions", "bam",
+        with tracer.span(span_name, "bam",
                          args={"store": os.path.basename(bamx_path),
                                "target": target, "nprocs": nprocs,
                                "regions": len(regions), "mode": mode}):
@@ -757,15 +636,9 @@ class BamConverter:
                         index_lists.append(index2.locate_overlaps(
                             header.ref_id(region.chrom), region.start,
                             region.end))
-            # Union without duplicates, preserving first-seen order.
-            seen: set[int] = set()
-            indices: list[int] = []
-            for index_list in index_lists:
-                for i in index_list:
-                    i = int(i)
-                    if i not in seen:
-                        seen.add(i)
-                        indices.append(i)
+            indices = list(dict.fromkeys(
+                i for index_list in index_lists
+                for i in index_list.tolist()))
             target_plugin = get_target(target)
             stem = os.path.splitext(os.path.basename(bamx_path))[0]
             shards, batch_size, tuning = resolve_tuning(
@@ -778,7 +651,7 @@ class BamConverter:
                 default_batch=DEFAULT_BATCH_SIZE)
             specs = [
                 BamxPickSpec(bamx_path, tuple(indices[start:stop]), target,
-                             make_output_path(out_dir, f"{stem}.regions",
+                             make_output_path(out_dir, stem + suffix,
                                               rank, target_plugin),
                              record_filter or ACCEPT_ALL,
                              batch_size, self.pipeline)

@@ -200,9 +200,10 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
     is over-decomposed into up to *n* shards, which the shared pool
     pulls dynamically longest-first; per-shard results are folded back
     to per-rank results via each spec's ``merge_shards`` (an ordered
-    reducer, so outputs stay byte-identical to the static run).  Specs
-    without ``split`` — and calls where nothing decomposes — fall back
-    to the static one-task-per-rank schedule.
+    reducer, so outputs stay byte-identical to the static run).  A
+    spec without ``split`` — and every spec of a static run — is a
+    one-shard group: its task runs as the whole rank.  A static run
+    with a single rank runs in the calling process, like ``simulate``.
 
     Tuning
     ------
@@ -224,23 +225,9 @@ def execute_rank_tasks(task_fn: Callable[[Any], RankMetrics],
     if shards_per_rank < 1:
         raise RuntimeLayerError(
             f"shards_per_rank must be >= 1, got {shards_per_rank}")
-    tracer = get_tracer()
-    groups = _shard_plan(specs, shards_per_rank)
-    if groups is not None:
-        return _execute_sharded(task_fn, specs, groups, executor, tracer,
-                                tuning)
-    if tracer.enabled:
-        results = _execute_rank_tasks_traced(task_fn, specs, executor,
-                                             tracer)
-    elif executor == "simulate" or len(specs) == 1:
-        results = [task_fn(spec) for spec in specs]
-    else:
-        labels = [f"rank {rank}" for rank in range(len(specs))]
-        results = get_shared_executor().map_tasks(
-            task_fn, list(specs), executor, labels=labels)
-    if tuning is not None:
-        _feed_observations(tuning, specs, results)
-    return results
+    return _execute_sharded(task_fn, specs,
+                            _shard_plan(specs, shards_per_rank), executor,
+                            get_tracer(), tuning)
 
 
 def _feed_observations(tuning: JobTuning, specs: Sequence[Any],
@@ -261,27 +248,25 @@ def _feed_observations(tuning: JobTuning, specs: Sequence[Any],
 
 
 def _shard_plan(specs: Sequence[Any], shards_per_rank: int,
-                ) -> list[list[Any]] | None:
-    """Split each spec into shards; ``None`` when nothing decomposes.
+                ) -> list[list[Any]]:
+    """Split each spec into its group of shards.
 
     Specs opt in by implementing ``split(n) -> list[spec]``; a spec may
     return ``[self]`` to decline (single record, binary target, ...).
-    Returning ``None`` keeps undecomposable workloads — sort/histogram/
-    flagstat specs, ``--shards 1`` — on the static path untouched.
+    Undecomposable workloads — sort/histogram/flagstat specs,
+    ``--shards 1`` — become one-shard groups: the static schedule.
     """
     if shards_per_rank <= 1:
-        return None
+        return [[spec] for spec in specs]
     groups: list[list[Any]] = []
-    decomposed = False
     for spec in specs:
         split = getattr(spec, "split", None)
         group = [spec] if split is None else split(shards_per_rank)
         if not group:
             raise RuntimeLayerError(
                 f"split() of {type(spec).__name__} returned no shards")
-        decomposed = decomposed or len(group) > 1
         groups.append(group)
-    return groups if decomposed else None
+    return groups
 
 
 def _cost_hint(spec: Any) -> float:
@@ -329,6 +314,10 @@ def _execute_sharded(task_fn: Callable[[Any], RankMetrics],
     Shards of all ranks are flattened into one work list and dispatched
     longest-first; the shared pool's workers pull them dynamically, so
     a skewed rank's extra shards land on whichever workers are free.
+    One-shard groups are the static schedule: the shard is the rank
+    spec itself and runs under a ``rank`` span.  ``simulate``, and a
+    static run of a single rank, run in the calling process and never
+    touch the pool.
 
     With *tuning*, the schedule runs in waves: budgeted shards that
     yield a :class:`ShardRemainder` have their tail re-split
@@ -345,11 +334,12 @@ def _execute_sharded(task_fn: Callable[[Any], RankMetrics],
         # A one-piece group's shard IS the rank spec (same out_path), so
         # it must not yield a tail to merge into itself; budgets apply
         # only where shard files are distinct from the rank output.
-        budget_ok = len(group) > 1
+        sharded = len(group) > 1
         for shard_idx, shard in enumerate(group):
             entries.append((rank, (shard_idx,),
-                            _with_budget(shard, tuning) if budget_ok
-                            else shard, budget_ok))
+                            _with_budget(shard, tuning) if sharded
+                            else shard, sharded))
+    inline = executor == "simulate" or len(entries) == 1
     parent_id = None
     if tracer.enabled:
         caller = tracer.current_span()
@@ -358,8 +348,9 @@ def _execute_sharded(task_fn: Callable[[Any], RankMetrics],
     rounds = 0
     while entries:
         budgets_live = tuning is not None and rounds < MAX_RESPLIT_ROUNDS
-        results = _dispatch_shards(task_fn, entries, executor, tracer,
-                                   parent_id, tuning, budgets_live)
+        results = _dispatch_shards(task_fn, entries, executor, inline,
+                                   tracer, parent_id, tuning,
+                                   budgets_live)
         next_entries: list[tuple[int, tuple[int, ...], Any, bool]] = []
         for (rank, path, spec, _), result in zip(entries, results):
             if not isinstance(result, ShardRemainder):
@@ -396,68 +387,96 @@ def _execute_sharded(task_fn: Callable[[Any], RankMetrics],
 def _dispatch_shards(task_fn: Callable[[Any], Any],
                      entries: Sequence[tuple[int, tuple[int, ...], Any,
                                              bool]],
-                     executor: str, tracer: Tracer,
+                     executor: str, inline: bool, tracer: Tracer,
                      parent_id: int | None,
                      tuning: JobTuning | None,
                      budgets_live: bool) -> list[Any]:
     """Dispatch one wave of shard entries; results in entry order.
 
-    On the sequential ``simulate`` executor a cold cost model still
-    gets straggler detection: completed siblings' durations price the
-    budget of each not-yet-budgeted shard (k x median), which is the
-    deterministic flavor the tests pin down.  Pool executors apply
-    model budgets at submit time only — their shards run concurrently,
-    so there is no well-defined "completed siblings" set to consult.
+    *inline* entries run one after another in this process.  There a
+    cold cost model still gets straggler detection: completed
+    siblings' durations price the budget of each not-yet-budgeted
+    shard (k x median), which is the deterministic flavor the tests
+    pin down.  Pool executors apply model budgets at submit time only
+    — their shards run concurrently, so there is no well-defined
+    "completed siblings" set to consult.
     """
-    labels = [f"rank {rank} shard {_shard_label(path)}"
-              for rank, path, _, _ in entries]
-    costs = [_cost_hint(shard) for _, _, shard, _ in entries]
-    progress = None
-    if tuning is not None:
-        progress = lambda i, result, elapsed: \
-            tuning.note_completion(elapsed)  # noqa: E731
-    if executor == "simulate":
+    fn = _traced_task if tracer.enabled else task_fn
+    # Process workers record into a child tracer (no parent span
+    # there); their spans are gathered back under *parent_id*.
+    shared = inline or executor != "process"
+
+    def wrap(rank: int, path: tuple[int, ...], shard: Any,
+             sharded: bool) -> Any:
+        if not tracer.enabled:
+            return shard
+        return (task_fn, tracer if shared else None, tracer.epoch, rank,
+                _shard_label(path) if sharded else None, shard,
+                parent_id if shared else None)
+
+    if inline:
         results = []
         durations: list[float] = []
         wave_start = time.perf_counter()
-        for rank, path, shard, budget_ok in entries:
-            if budgets_live and budget_ok \
+        for rank, path, shard, sharded in entries:
+            if budgets_live and sharded \
                     and getattr(shard, "budget_seconds", None) is None \
                     and _supports_budget(shard):
                 budget = tuning.sibling_budget(durations)
                 if budget is not None:
                     shard = replace(shard, budget_seconds=budget)
             t0 = time.perf_counter()
-            if tracer.enabled:
-                results.append(_shard_span_call(
-                    task_fn, tracer, rank, _shard_label(path), shard,
-                    parent_id))
-            else:
-                results.append(task_fn(shard))
+            results.append(fn(wrap(rank, path, shard, sharded)))
             durations.append(time.perf_counter() - t0)
             if tuning is not None:
                 tuning.note_completion(time.perf_counter() - wave_start)
+    else:
+        labels = [f"rank {rank} shard {_shard_label(path)}" if sharded
+                  else f"rank {rank}" for rank, path, _, sharded in entries]
+        costs = [_cost_hint(shard) for _, _, shard, _ in entries]
+        progress = None
+        if tuning is not None:
+            progress = lambda i, result, elapsed: \
+                tuning.note_completion(elapsed)  # noqa: E731
+        results = get_shared_executor().map_tasks(
+            fn, [wrap(*entry) for entry in entries], executor,
+            labels=labels, costs=costs, progress=progress)
+    if not tracer.enabled:
         return results
-    if tracer.enabled and executor == "thread":
-        payloads = [(task_fn, tracer, rank, _shard_label(path), shard,
-                     parent_id) for rank, path, shard, _ in entries]
-        return get_shared_executor().map_tasks(
-            _shard_span_entry, payloads, "thread",
-            labels=labels, costs=costs, progress=progress)
-    if tracer.enabled:
-        payloads = [(task_fn, tracer.epoch, rank, _shard_label(path),
-                     shard) for rank, path, shard, _ in entries]
-        gathered = get_shared_executor().map_tasks(
-            _traced_process_shard, payloads, "process",
-            labels=labels, costs=costs, progress=progress)
-        results = []
-        for result, span_dicts, rank in gathered:
+    out = []
+    for (rank, _, _, _), (result, span_dicts) in zip(entries, results):
+        if span_dicts is not None:
             tracer.ingest(span_dicts, rank=rank, parent_id=parent_id)
-            results.append(result)
-        return results
-    return get_shared_executor().map_tasks(
-        task_fn, [shard for _, _, shard, _ in entries], executor,
-        labels=labels, costs=costs, progress=progress)
+        out.append(result)
+    return out
+
+
+def _traced_task(payload: tuple) -> tuple[Any, list[dict] | None]:
+    """Run one rank or shard task under its span; module-level so the
+    process pool can pickle it.
+
+    A one-shard group's span is ``rank``; a shard's is ``shard``, tagged
+    with its rank and shard label.  In-process callers pass the shared
+    *tracer* (its span stack is per-thread) and *parent_id*, which
+    re-attaches the span to the launching span from a pool thread.  A
+    process worker gets ``tracer=None``, records into a child tracer
+    sharing the parent *epoch* and returns its spans for gathering.
+    """
+    task_fn, tracer, epoch, rank, shard, spec, parent_id = payload
+    child = tracer is None
+    if child:
+        tracer = Tracer(enabled=True, epoch=epoch)
+    if shard is None:
+        name, args = "rank", {"task": task_fn.__name__}
+    else:
+        name, args = "shard", {"task": task_fn.__name__, "rank": rank,
+                               "shard": shard}
+    with tracer.activate(), tracer.rank_context(rank), \
+            tracer.span(name, "rank", rank=rank, args=args,
+                        parent_id=parent_id):
+        result = task_fn(spec)
+    return result, [s.to_dict() for s in tracer.spans()] if child \
+        else None
 
 
 def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
@@ -476,102 +495,6 @@ def merge_shard_outputs(out_path: str, shard_specs: Sequence[Any],
                 shutil.copyfileobj(src, dst)
             os.remove(shard.out_path)
     return RankMetrics.merge_shards(list(shard_metrics))
-
-
-def _rank_span_call(task_fn: Callable[[Any], RankMetrics],
-                    tracer: Tracer, rank: int, spec: Any,
-                    parent_id: int | None) -> RankMetrics:
-    """Run one rank task under a rank-tagged span of *tracer*.
-
-    *parent_id* re-attaches the rank span to the launching span even
-    when this runs on a pool thread with an empty span stack.
-    """
-    with tracer.activate(), tracer.rank_context(rank), \
-            tracer.span("rank", "rank", rank=rank,
-                        args={"task": task_fn.__name__},
-                        parent_id=parent_id):
-        return task_fn(spec)
-
-
-def _rank_span_entry(payload: tuple) -> RankMetrics:
-    """Single-argument adapter for pooled :func:`_rank_span_call`."""
-    task_fn, tracer, rank, spec, parent_id = payload
-    return _rank_span_call(task_fn, tracer, rank, spec, parent_id)
-
-
-def _shard_span_call(task_fn: Callable[[Any], RankMetrics],
-                     tracer: Tracer, rank: int, shard_idx: int | str,
-                     spec: Any, parent_id: int | None) -> Any:
-    """Run one shard task under a rank/shard-tagged span of *tracer*."""
-    with tracer.activate(), tracer.rank_context(rank), \
-            tracer.span("shard", "rank", rank=rank,
-                        args={"task": task_fn.__name__, "rank": rank,
-                              "shard": shard_idx},
-                        parent_id=parent_id):
-        return task_fn(spec)
-
-
-def _shard_span_entry(payload: tuple) -> Any:
-    """Single-argument adapter for pooled :func:`_shard_span_call`."""
-    task_fn, tracer, rank, shard_idx, spec, parent_id = payload
-    return _shard_span_call(task_fn, tracer, rank, shard_idx, spec,
-                            parent_id)
-
-
-def _traced_process_rank(payload: tuple) -> tuple:
-    """Child-process entry: record spans locally, return them for
-    gathering (module-level so the worker pool can pickle it)."""
-    task_fn, epoch, rank, spec = payload
-    child = Tracer(enabled=True, epoch=epoch)
-    with child.activate(), child.rank_context(rank), \
-            child.span("rank", "rank", rank=rank,
-                       args={"task": task_fn.__name__}):
-        metrics = task_fn(spec)
-    return metrics, [s.to_dict() for s in child.spans()], rank
-
-
-def _traced_process_shard(payload: tuple) -> tuple:
-    """Child-process entry for one shard; spans tagged rank/shard."""
-    task_fn, epoch, rank, shard_idx, spec = payload
-    child = Tracer(enabled=True, epoch=epoch)
-    with child.activate(), child.rank_context(rank), \
-            child.span("shard", "rank", rank=rank,
-                       args={"task": task_fn.__name__, "rank": rank,
-                             "shard": shard_idx}):
-        result = task_fn(spec)
-    return result, [s.to_dict() for s in child.spans()], rank
-
-
-def _execute_rank_tasks_traced(task_fn: Callable[[Any], RankMetrics],
-                               specs: Sequence[Any], executor: str,
-                               tracer: Tracer) -> list[RankMetrics]:
-    """Traced variant of :func:`execute_rank_tasks` (static schedule).
-
-    Simulate/thread ranks record straight into the shared tracer (its
-    span stack is per-thread); process ranks record into a child tracer
-    sharing the parent epoch and their spans are gathered to rank 0 via
-    :meth:`Tracer.ingest`.
-    """
-    caller = tracer.current_span()
-    parent_id = caller.span_id if caller is not None else None
-    if executor == "simulate" or len(specs) == 1:
-        return [_rank_span_call(task_fn, tracer, rank, spec, parent_id)
-                for rank, spec in enumerate(specs)]
-    labels = [f"rank {rank}" for rank in range(len(specs))]
-    if executor == "thread":
-        payloads = [(task_fn, tracer, rank, spec, parent_id)
-                    for rank, spec in enumerate(specs)]
-        return get_shared_executor().map_tasks(
-            _rank_span_entry, payloads, "thread", labels=labels)
-    payloads = [(task_fn, tracer.epoch, rank, spec)
-                for rank, spec in enumerate(specs)]
-    gathered = get_shared_executor().map_tasks(
-        _traced_process_rank, payloads, "process", labels=labels)
-    out = []
-    for metrics, span_dicts, rank in gathered:
-        tracer.ingest(span_dicts, rank=rank, parent_id=parent_id)
-        out.append(metrics)
-    return out
 
 
 def emit_records(records: Iterable[AlignmentRecord], target: TargetFormat,

@@ -11,6 +11,10 @@ kernels (:mod:`repro.formats.kernels`) then run filters, flagstat,
 histograms and target emission as vectorized array operations without
 materializing a single :class:`~repro.formats.record.AlignmentRecord`.
 
+:class:`ColumnSlab` is the batched read interface of every record
+store: the BAMX and BAMZ readers build the same slabs from their rows
+(:func:`repro.formats.bamx.row_columns`).
+
 File layout::
 
     magic "BAMC\\x01"
@@ -141,60 +145,90 @@ class ColumnSlab:
 
         Preserves the order of *idx*, which is what lets the partial
         conversion path keep the caller's record order byte-for-byte.
+        When *idx* is not strictly increasing the blob bytes are copied
+        in *idx* order, so the result's blob offsets never decrease —
+        the blob-wide sequence and quality decoders require that.
         """
+        sections = [(lo[idx], hi[idx], blob) for lo, hi, blob in (
+            (self.name_lo, self.name_hi, self.name_blob),
+            (self.cigar_lo, self.cigar_hi, self.cigar_blob),
+            (self.seq_lo, self.seq_hi, self.seq_blob),
+            (self.qual_lo, self.qual_hi, self.qual_blob),
+            (self.tag_lo, self.tag_hi, self.tag_blob))]
+        if (np.diff(idx) <= 0).any():
+            sections = [_regather(*section) for section in sections]
+        (name_lo, name_hi, name_blob), (cigar_lo, cigar_hi, cigar_blob), \
+            (seq_lo, seq_hi, seq_blob), (qual_lo, qual_hi, qual_blob), \
+            (tag_lo, tag_hi, tag_blob) = sections
         return ColumnSlab(
             -1, len(idx),
             self.ref_id[idx], self.pos[idx], self.end_pos[idx],
             self.next_ref[idx], self.next_pos[idx], self.tlen[idx],
             self.l_seq[idx], self.flag[idx], self.mapq[idx],
-            self.name_lo[idx], self.name_hi[idx],
-            self.cigar_lo[idx], self.cigar_hi[idx],
-            self.seq_lo[idx], self.seq_hi[idx],
-            self.qual_lo[idx], self.qual_hi[idx],
-            self.tag_lo[idx], self.tag_hi[idx],
-            self.name_blob, self.cigar_blob, self.seq_blob,
-            self.qual_blob, self.tag_blob)
+            name_lo, name_hi, cigar_lo, cigar_hi, seq_lo, seq_hi,
+            qual_lo, qual_hi, tag_lo, tag_hi,
+            name_blob, cigar_blob, seq_blob, qual_blob, tag_blob)
 
     def decode(self, i: int, header: SamHeader) -> AlignmentRecord:
         """Decode record *i* of this slab, matching BAMX decode exactly."""
-        ref_id = int(self.ref_id[i])
-        pos = int(self.pos[i])
-        next_ref = int(self.next_ref[i])
-        next_pos = int(self.next_pos[i])
-        l_seq = int(self.l_seq[i])
-        name = str(self.name_blob[self.name_lo[i]:self.name_hi[i]],
-                   "ascii")
-        words = np.frombuffer(
-            self.cigar_blob[self.cigar_lo[i]:self.cigar_hi[i]], "<u4")
-        if l_seq:
-            seq = unpack_sequence(
-                self.seq_blob[self.seq_lo[i]:self.seq_hi[i]], l_seq)
-            qual_raw = self.qual_blob[self.qual_lo[i]:self.qual_hi[i]]
-            qual = "*" if not qual_raw.strip(b"\xff") \
-                else qual_bytes_to_text(qual_raw)
-        else:
-            seq = qual = "*"
-        tags = decode_tags(self.tag_blob[self.tag_lo[i]:self.tag_hi[i]])
-        rname = "*" if ref_id < 0 else header.ref_name(ref_id)
-        if next_ref < 0:
-            rnext = "*"
-        elif next_ref == ref_id:
-            rnext = "="
-        else:
-            rnext = header.ref_name(next_ref)
-        return AlignmentRecord(
-            qname=name, flag=int(self.flag[i]), rname=rname,
-            pos=pos if pos >= 0 else UNMAPPED_POS,
-            mapq=int(self.mapq[i]),
-            cigar=decode_ops([int(w) for w in words]),
-            rnext=rnext,
-            pnext=next_pos if next_pos >= 0 else UNMAPPED_POS,
-            tlen=int(self.tlen[i]), seq=seq, qual=qual, tags=tags)
+        return next(self.window(i, i + 1, -1).decode_all(header))
 
     def decode_all(self, header: SamHeader) -> Iterator[AlignmentRecord]:
-        """Decode every record of this slab in order."""
-        for i in range(self.count):
-            yield self.decode(i, header)
+        """Decode every record of this slab in order.
+
+        Columns become Python lists once per slab, so the per-record
+        loop touches no numpy scalars.
+        """
+        name_blob, cigar_blob = self.name_blob, self.cigar_blob
+        seq_blob, qual_blob, tag_blob = \
+            self.seq_blob, self.qual_blob, self.tag_blob
+        for (ref_id, pos, next_ref, next_pos, tlen, l_seq, flag, mapq,
+             name_lo, name_hi, cigar_lo, cigar_hi, seq_lo, seq_hi,
+             qual_lo, qual_hi, tag_lo, tag_hi) in zip(*(
+                column.tolist() for column in (
+                    self.ref_id, self.pos, self.next_ref, self.next_pos,
+                    self.tlen, self.l_seq, self.flag, self.mapq,
+                    self.name_lo, self.name_hi, self.cigar_lo,
+                    self.cigar_hi, self.seq_lo, self.seq_hi,
+                    self.qual_lo, self.qual_hi, self.tag_lo,
+                    self.tag_hi))):
+            words = struct.unpack_from(f"<{(cigar_hi - cigar_lo) // 4}I",
+                                       cigar_blob, cigar_lo)
+            if l_seq:
+                seq = unpack_sequence(seq_blob[seq_lo:seq_hi], l_seq)
+                qual_raw = qual_blob[qual_lo:qual_hi]
+                qual = "*" if not qual_raw.strip(b"\xff") \
+                    else qual_bytes_to_text(qual_raw)
+            else:
+                seq = qual = "*"
+            rname = "*" if ref_id < 0 else header.ref_name(ref_id)
+            if next_ref < 0:
+                rnext = "*"
+            elif next_ref == ref_id:
+                rnext = "="
+            else:
+                rnext = header.ref_name(next_ref)
+            yield AlignmentRecord(
+                qname=str(name_blob[name_lo:name_hi], "ascii"), flag=flag,
+                rname=rname, pos=pos if pos >= 0 else UNMAPPED_POS,
+                mapq=mapq, cigar=decode_ops(words), rnext=rnext,
+                pnext=next_pos if next_pos >= 0 else UNMAPPED_POS,
+                tlen=tlen, seq=seq, qual=qual,
+                tags=decode_tags(tag_blob[tag_lo:tag_hi]))
+
+
+def _regather(lo: np.ndarray, hi: np.ndarray, blob: bytes,
+              ) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """Copy the ranges ``blob[lo[i]:hi[i]]`` into a new blob, in order.
+
+    Returns the ``(lo, hi, blob)`` of the copy.
+    """
+    lengths = hi.astype(np.int64) - lo
+    new_hi = np.cumsum(lengths)
+    new_lo = new_hi - lengths
+    src = np.repeat(lo - new_lo, lengths) \
+        + np.arange(int(new_hi[-1]) if len(new_hi) else 0)
+    return new_lo, new_hi, np.frombuffer(blob, np.uint8)[src].tobytes()
 
 
 def _parse_slab(buf: bytes, start: int, count: int) -> ColumnSlab:
@@ -421,11 +455,9 @@ class BamcReader:
 
     Exposes the :class:`~repro.formats.bamx.BamxReader` surface —
     ``len()``, ``[i]``, ``read_range``, iteration, ``.header``,
-    ``.layout`` — plus the columnar access the kernels run on:
+    ``.layout`` and the columnar access the kernels run on:
     :meth:`read_column_batches` (contiguous ranges) and
     :meth:`read_column_picks` (explicit indices, order-preserving).
-    It deliberately does *not* provide ``read_raw_batches``: raw-slab
-    consumers assume the v1 row layout.
     """
 
     def __init__(self, source: str | os.PathLike[str]) -> None:
@@ -514,11 +546,13 @@ class BamcReader:
         return slab.decode(index - slab.start, self.header)
 
     def read_column_batches(self, start: int, stop: int,
+                            batch_size: int = 0,
                             ) -> Iterator[ColumnSlab]:
         """Yield :class:`ColumnSlab` windows covering ``[start, stop)``.
 
-        The columnar analogue of ``BamxReader.read_raw_batches``: the
-        fixed columns of each yielded slab are zero-copy numpy views.
+        The fixed columns of each yielded slab are zero-copy numpy
+        views.  A positive *batch_size* caps the records per window;
+        0 yields whole stored slabs.
         """
         if not 0 <= start <= stop <= self._count:
             raise BamxFormatError(
@@ -530,18 +564,21 @@ class BamcReader:
             slab = self._load_slab(slab_index)
             a = index - slab.start
             b = min(stop - slab.start, slab.count)
+            if batch_size > 0:
+                b = min(b, a + batch_size)
             yield slab if (a == 0 and b == slab.count) \
                 else slab.window(a, b, index)
             index = slab.start + b
 
     def read_column_picks(self, indices: Sequence[int],
+                          batch_size: int = 0,
                           ) -> Iterator[ColumnSlab]:
         """Yield gathered slabs for explicit *indices*, in order.
 
         Consecutive indices living in the same slab are grouped into
-        one fancy-indexed :class:`ColumnSlab`; the overall record
-        order is exactly the order of *indices*, which is what keeps
-        partial conversion byte-identical to the v1 pick path.
+        one gathered :class:`ColumnSlab` (at most *batch_size* of them
+        when positive); the overall record order is exactly the order
+        of *indices*.
         """
         n = len(indices)
         i = 0
@@ -554,8 +591,9 @@ class BamcReader:
             slab_index = self._slab_of(index)
             slab = self._load_slab(slab_index)
             lo, hi = slab.start, slab.start + slab.count
+            limit = n if batch_size <= 0 else min(n, i + batch_size)
             j = i + 1
-            while j < n and lo <= indices[j] < hi:
+            while j < limit and lo <= indices[j] < hi:
                 j += 1
             local = np.asarray(indices[i:j], dtype=np.int64) - lo
             yield slab.take(local)

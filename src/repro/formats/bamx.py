@@ -20,6 +20,12 @@ File layout::
 
 Records are *uncompressed* — the paper defers compression to future
 work — so the padding trades disk space for layout regularity.
+
+Because every record has the same size, a slab of raw records is a
+numpy array of rows: :func:`row_columns` turns one into the
+:class:`~repro.formats.bamc.ColumnSlab` the vectorized kernels
+(:mod:`repro.formats.kernels`) read, so BAMX and BAMZ share BAMC's
+batched read path.
 """
 
 from __future__ import annotations
@@ -27,23 +33,37 @@ from __future__ import annotations
 import io
 import os
 import struct
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..errors import BamxFormatError, CapacityError
 from .bam import MAGIC as _BAM_MAGIC  # noqa: F401  (kept for format docs)
-from .cigar import decode_ops, encode_ops
+from .cigar import REF_CONSUMING, decode_ops, encode_ops
 from .header import SamHeader
 from .record import UNMAPPED_POS, AlignmentRecord
 from .seq import pack_sequence, qual_bytes_to_text, qual_text_to_bytes, \
     unpack_sequence
 from .tags import decode_tags, encode_tags
 
+if TYPE_CHECKING:
+    from .bamc import ColumnSlab
+
 MAGIC = b"BAMX\x01"
 
 _FIXED = struct.Struct("<iiBBHHiiiiH")
-# ref_id, pos, mapq, name_len, flag, n_cigar, l_seq,
-# next_ref, next_pos, tlen, tag_len
+_FIXED_FIELDS = ("ref_id", "pos", "mapq", "name_len", "flag", "n_cigar",
+                 "l_seq", "next_ref", "next_pos", "tlen", "tag_len")
+#: The fixed fields as a packed numpy record, for strided column views.
+_FIXED_DTYPE = np.dtype([(name, "<" + code) for name, code
+                         in zip(_FIXED_FIELDS, _FIXED.format[1:])])
+
+#: Whether each BAM CIGAR op code consumes the reference; the invalid
+#: codes 9..15 count as non-consuming.
+_REF_CONSUMING_CODE = np.array(
+    [op in REF_CONSUMING for op in "MIDNSHP=X"] + [False] * 7)
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,6 +102,12 @@ class BamxLayout:
             self, "record_size",
             _FIXED.size + self.name_cap + 4 * self.cigar_cap
             + (self.seq_cap + 1) // 2 + self.seq_cap + self.tag_cap)
+
+    def slab_records(self, batch_size: int = 0) -> int:
+        """Records per raw slab: *batch_size*, or ~4 MiB of rows if 0."""
+        if batch_size > 0:
+            return batch_size
+        return max(1, (4 << 20) // max(self.record_size, 1))
 
     def merge(self, other: "BamxLayout") -> "BamxLayout":
         """Smallest layout accommodating records of both layouts."""
@@ -204,6 +230,120 @@ class BamxLayout:
             tlen=tlen, seq=seq, qual=qual, tags=tags)
 
 
+def row_columns(buf, count: int, layout: BamxLayout,
+                start: int) -> ColumnSlab:
+    """View *count* raw records of *layout* as a ColumnSlab.
+
+    Fixed fields are strided views into *buf*.  ``end_pos`` is
+    ``record.end`` computed from the padded CIGAR words (``-1`` when
+    unplaced, a zero span counts as 1).  Name, CIGAR, sequence, quality
+    and tag bytes are compacted into blobs with ``lo``/``hi`` offsets
+    in record order, the form the column kernels decode.  *start* is
+    the global index of the first record, or ``-1`` for picked rows.
+    """
+    from .bamc import ColumnSlab
+    rsize = layout.record_size
+    rows = np.frombuffer(buf, np.uint8, count * rsize).reshape(count, rsize)
+    fixed = rows[:, :_FIXED.size].view(_FIXED_DTYPE)[:, 0]
+    name_len, n_cigar = fixed["name_len"], fixed["n_cigar"]
+    l_seq, tag_len = fixed["l_seq"], fixed["tag_len"]
+    if (name_len > layout.name_cap).any() \
+            or (n_cigar > layout.cigar_cap).any() \
+            or (l_seq < 0).any() or (l_seq > layout.seq_cap).any() \
+            or (tag_len > layout.tag_cap).any():
+        raise BamxFormatError(
+            "corrupt BAMX record: field length exceeds layout capacity")
+    sections = []
+    off = _FIXED.size
+    for cap, nbytes in (
+            (layout.name_cap, name_len),
+            (4 * layout.cigar_cap, 4 * n_cigar.astype(np.int64)),
+            ((layout.seq_cap + 1) // 2, (l_seq + 1) // 2),
+            (layout.seq_cap, l_seq),
+            (layout.tag_cap, tag_len)):
+        region = rows[:, off:off + cap]
+        blob = region[np.arange(cap) < nbytes[:, None]].tobytes()
+        hi = np.cumsum(nbytes, dtype=np.int64)
+        sections.append((hi - nbytes, hi, blob))
+        off += cap
+    cigar_off = _FIXED.size + layout.name_cap
+    words = rows[:, cigar_off:cigar_off + 4 * layout.cigar_cap].view("<u4")
+    used = np.arange(layout.cigar_cap) < n_cigar[:, None]
+    span = np.where(used & _REF_CONSUMING_CODE[words & 0xF], words >> 4,
+                    0).sum(axis=1, dtype=np.int64)
+    pos = fixed["pos"]
+    end_pos = np.where(pos < 0, -1, pos + np.maximum(span, 1))
+    (name_lo, name_hi, name_blob), (cigar_lo, cigar_hi, cigar_blob), \
+        (seq_lo, seq_hi, seq_blob), (qual_lo, qual_hi, qual_blob), \
+        (tag_lo, tag_hi, tag_blob) = sections
+    return ColumnSlab(
+        start, count, fixed["ref_id"], pos, end_pos, fixed["next_ref"],
+        fixed["next_pos"], fixed["tlen"], l_seq, fixed["flag"],
+        fixed["mapq"], name_lo, name_hi, cigar_lo, cigar_hi, seq_lo,
+        seq_hi, qual_lo, qual_hi, tag_lo, tag_hi, name_blob, cigar_blob,
+        seq_blob, qual_blob, tag_blob)
+
+
+class RowColumnReader:
+    """Columnar reads shared by the row stores (BAMX and BAMZ).
+
+    Subclasses provide ``layout``, ``source_name``, ``len()`` and
+    ``read_raw_batches``; every slab is converted by
+    :func:`row_columns`, so the row stores expose the same
+    ``read_column_batches`` / ``read_column_picks`` surface as
+    :class:`~repro.formats.bamc.BamcReader`.
+    """
+
+    layout: BamxLayout
+    source_name: str
+
+    def read_column_batches(self, start: int, stop: int,
+                            batch_size: int = 0) -> Iterator[ColumnSlab]:
+        """Yield ColumnSlabs covering ``[start, stop)``.
+
+        ``batch_size`` is records per slab; 0 picks ~4 MiB of rows.
+        """
+        for buf, count in self.read_raw_batches(start, stop, batch_size):
+            yield row_columns(buf, count, self.layout, start)
+            start += count
+
+    def read_column_picks(self, indices: Sequence[int],
+                          batch_size: int = 0) -> Iterator[ColumnSlab]:
+        """Yield ColumnSlabs of the records at *indices*, in that order.
+
+        Runs of consecutive indices are read with one seek each, and
+        rows are gathered in caller order, so every slab's blobs are
+        laid out in its own record order.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        if not idx.size:
+            return
+        bad = (idx < 0) | (idx >= len(self))
+        if bad.any():
+            raise BamxFormatError(
+                f"record index {int(idx[bad][0])} outside "
+                f"[0, {len(self)})", source=self.source_name)
+        breaks = np.flatnonzero(np.diff(idx) != 1) + 1
+        run_starts = idx[np.r_[0, breaks]].tolist()
+        run_stops = (idx[np.r_[breaks - 1, idx.size - 1]] + 1).tolist()
+        per_slab = self.layout.slab_records(batch_size)
+        parts: list = []
+        n = 0
+        for a, b in zip(run_starts, run_stops):
+            for buf, count in self.read_raw_batches(a, b, per_slab):
+                parts.append(buf)
+                n += count
+                if n >= per_slab:
+                    yield self._picked_slab(parts, n)
+                    parts, n = [], 0
+        if n:
+            yield self._picked_slab(parts, n)
+
+    def _picked_slab(self, parts: list, count: int) -> ColumnSlab:
+        buf = parts[0] if len(parts) == 1 else b"".join(parts)
+        return row_columns(buf, count, self.layout, -1)
+
+
 def plan_layout(records: Iterable[AlignmentRecord]) -> BamxLayout:
     """Scan records and compute the tightest layout that fits them all.
 
@@ -290,8 +430,9 @@ class BamxWriter:
         self._fh.close()
 
 
-class BamxReader:
-    """Random-access BAMX reader: ``len()``, ``[i]``, slices, iteration."""
+class BamxReader(RowColumnReader):
+    """Random-access BAMX reader: ``len()``, ``[i]``, slices, iteration,
+    and the columnar reads of :class:`RowColumnReader`."""
 
     def __init__(self, source: str | os.PathLike[str]) -> None:
         self.source_name = os.fspath(source)
@@ -336,20 +477,6 @@ class BamxReader:
         data = self._fh.read(self.layout.record_size)
         return self.layout.decode(data, self.header)
 
-    def read_raw(self, index: int) -> bytes:
-        """Read the raw :attr:`record_size` bytes of record *index*."""
-        if not 0 <= index < self._count:
-            raise BamxFormatError(
-                f"record index {index} outside [0, {self._count})",
-                source=self.source_name)
-        rsize = self.layout.record_size
-        self._fh.seek(self._data_offset + index * rsize)
-        data = self._fh.read(rsize)
-        if len(data) != rsize:
-            raise BamxFormatError("truncated BAMX data region",
-                                  source=self.source_name)
-        return data
-
     def read_raw_batches(self, start: int, stop: int,
                          batch_size: int = 0,
                          ) -> Iterator[tuple[memoryview, int]]:
@@ -364,8 +491,7 @@ class BamxReader:
             raise BamxFormatError(
                 f"record range [{start}, {stop}) outside [0, {self._count})")
         rsize = self.layout.record_size
-        per_slab = batch_size if batch_size > 0 \
-            else max(1, (4 << 20) // max(rsize, 1))
+        per_slab = self.layout.slab_records(batch_size)
         self._fh.seek(self._data_offset + start * rsize)
         remaining = stop - start
         while remaining > 0:

@@ -25,7 +25,8 @@ Sidecar ``<path>.bzi``::
 
 :class:`BamzReader` exposes the same interface as
 :class:`~repro.formats.bamx.BamxReader` (``len``, ``[i]``,
-``read_range``, iteration, ``.header``, ``.layout``), so converters can
+``read_range``, iteration, ``.header``, ``.layout`` and the columnar
+``read_column_batches`` / ``read_column_picks``), so converters can
 use either store interchangeably.
 """
 
@@ -38,7 +39,7 @@ from collections.abc import Iterable, Iterator
 import numpy as np
 
 from ..errors import BamxFormatError, IndexError_
-from .bamx import BamxLayout, plan_layout
+from .bamx import BamxLayout, RowColumnReader, plan_layout
 from .bgzf import BgzfReader, BgzfWriter
 from .header import SamHeader
 from .record import AlignmentRecord
@@ -86,6 +87,14 @@ class BamzWriter:
         self.records_written += 1
         return index
 
+    def write_batch(self, records: list[AlignmentRecord]) -> int:
+        """Append a batch record by record (each record needs its own
+        virtual offset); return the first record's index."""
+        first = self.records_written
+        for record in records:
+            self.write(record)
+        return first
+
     def write_all(self, records: Iterable[AlignmentRecord]) -> int:
         """Append every record; return the count written by this call."""
         n = 0
@@ -111,7 +120,7 @@ class BamzWriter:
                                 dtype="<u8").tobytes())
 
 
-class BamzReader:
+class BamzReader(RowColumnReader):
     """Random-access BAMZ reader (BamxReader-compatible interface)."""
 
     def __init__(self, source: str | os.PathLike[str],
@@ -160,15 +169,6 @@ class BamzReader:
         data = self._bgzf.read_exactly(self.layout.record_size)
         return self.layout.decode(data, self.header)
 
-    def read_raw(self, index: int) -> bytes:
-        """Read the raw :attr:`record_size` bytes of record *index*."""
-        if not 0 <= index < self._count:
-            raise BamxFormatError(
-                f"record index {index} outside [0, {self._count})",
-                source=self.source_name)
-        self._bgzf.seek_virtual(int(self._voffsets[index]))
-        return self._bgzf.read_exactly(self.layout.record_size)
-
     def read_raw_batches(self, start: int, stop: int,
                          batch_size: int = 0,
                          ) -> Iterator[tuple[memoryview, int]]:
@@ -186,8 +186,7 @@ class BamzReader:
         if start == stop:
             return
         rsize = self.layout.record_size
-        per_slab = batch_size if batch_size > 0 \
-            else max(1, (4 << 20) // max(rsize, 1))
+        per_slab = self.layout.slab_records(batch_size)
         self._bgzf.seek_virtual(int(self._voffsets[start]))
         remaining = stop - start
         while remaining > 0:

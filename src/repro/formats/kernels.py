@@ -1,9 +1,12 @@
-"""Vectorized numpy kernels over BAMC column slabs.
+"""Vectorized numpy kernels over record-store column slabs.
 
-Every operation the converter hot loops run per record — filter
-predicates, flagstat category counts, coverage/MAPQ histograms, target
-emission — has a columnar formulation here that touches whole arrays
-at once.  The contracts are strict:
+Every record store (BAMC natively, BAMX and BAMZ through
+:func:`repro.formats.bamx.row_columns`) yields
+:class:`~repro.formats.bamc.ColumnSlab`s.  Every operation the
+converter hot loops run per record — filter predicates, flagstat
+category counts, coverage/MAPQ histograms, target emission — has a
+columnar formulation here that touches whole arrays at once.  The
+contracts are strict:
 
 * **Filters** are exactly :meth:`RecordFilter.matches_flag_mapq` as
   boolean array ops.
@@ -12,10 +15,11 @@ at once.  The contracts are strict:
   use the ``next_ref``/``ref_id`` columns, which is the integer form
   of the record path's ``rnext not in ("=", "*", rname)`` test —
   reference names are unique, so the two are equivalent).
-* **Emitters** produce byte-identical lines to the v1 BAMX fastpaths
-  in :mod:`repro.formats.batch` (and therefore to the per-record
-  pipeline); the interval targets read the precomputed ``end_pos``
-  column instead of re-walking CIGARs.
+* **Emitters** produce byte-identical lines to ``target.emit`` on the
+  decoded record (the per-record pipeline); the interval targets read
+  the precomputed ``end_pos`` column instead of re-walking CIGARs.
+  The sequence and quality emitters decode blob-wide, so a slab's
+  ``seq_lo``/``qual_lo`` offsets must be non-decreasing.
 
 Targets without a kernel (SAM needs canonical CIGAR/tag text; GFF
 needs tags; JSON/YAML need everything) fall back per slab to the
@@ -168,8 +172,8 @@ def coverage_depth_columns(slabs, ref_id: int,
 # --------------------------------------------------------------------------
 # Columnar target emitters.  Each maker returns
 # ``fn(slab, record_filter) -> (lines, seen)`` where *seen* counts
-# post-filter records (matching the v1 pipeline's metrics) and *lines*
-# are byte-identical to the v1 fastpath output.
+# post-filter records (matching the record pipeline's metrics) and
+# *lines* are byte-identical to the record pipeline's output.
 # --------------------------------------------------------------------------
 
 def _base_and_seen(slab: ColumnSlab, record_filter,

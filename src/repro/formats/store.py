@@ -1,11 +1,10 @@
 """Record-store opener: BAMX, BAMZ and BAMC behind one interface.
 
 All readers expose ``len``, ``[i]``, ``read_range``, iteration,
-``.header`` and ``.layout``; converters call :func:`open_record_store`
-and never care which physical format backs the store.  The columnar
-BAMC reader additionally offers ``read_column_batches`` /
-``read_column_picks``, which the converters feature-detect to run the
-vectorized kernels.
+``.header``, ``.layout`` and the columnar ``read_column_batches`` /
+``read_column_picks`` the vectorized kernels run on; converters call
+:func:`open_record_store` and never care which physical format backs
+the store.
 """
 
 from __future__ import annotations
@@ -24,6 +23,9 @@ RecordStore = Union[BamxReader, BamzReader, BamcReader]
 
 #: Record-store formats a converter can write.
 STORE_FORMATS = ("bamx", "bamc")
+
+#: File extensions of the record stores (BAMX, BAMZ, BAMC).
+STORE_EXTENSIONS = (".bamx", ".bamz", ".bamc")
 
 
 def open_record_store(path: str | os.PathLike[str]) -> RecordStore:

@@ -31,7 +31,7 @@ from ..core.base import ConversionResult
 from ..errors import JobNotFoundError, ServiceError, \
     ServiceOverloadedError
 from ..formats.baix import default_index_path
-from ..formats.store import store_extension
+from ..formats.store import STORE_EXTENSIONS, store_extension
 from ..runtime.autotune import AUTO, AutoTuner, CostModel
 from ..runtime.metrics import ServiceMetrics
 from . import journal as journal_mod
@@ -324,7 +324,7 @@ class ConversionService:
         so row and columnar artifacts of one BAM coexist.
         """
         lowered = source.lower()
-        if lowered.endswith((".bamx", ".bamz", ".bamc")):
+        if lowered.endswith(STORE_EXTENSIONS):
             baix = params.get("baix")
             return source, baix, None
         if not lowered.endswith(".bam"):
@@ -372,7 +372,7 @@ class ConversionService:
     def _entry_store(entry: CacheEntry) -> str:
         """The record-store artifact inside a cache entry."""
         for path in entry.files():
-            if path.endswith((".bamx", ".bamz", ".bamc")):
+            if path.endswith(STORE_EXTENSIONS):
                 return path
         raise ServiceError(
             f"cache entry {entry.key} holds no record store")

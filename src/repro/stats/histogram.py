@@ -76,15 +76,11 @@ def histogram_from_store(reader, bin_size: int = 25,
                          ) -> dict[str, np.ndarray]:
     """Binned coverage for every reference of an open record store.
 
-    A columnar store (BAMC) accumulates the difference arrays straight
-    from the position/end columns via
-    :func:`repro.formats.kernels.add_coverage_events` — no record or
-    CIGAR is ever decoded; row stores fall back to
-    :func:`histogram_from_records`.
+    The difference arrays accumulate straight from the position/end
+    columns via :func:`repro.formats.kernels.add_coverage_events` — no
+    record or CIGAR is ever decoded.
     """
     header = reader.header
-    if not hasattr(reader, "read_column_batches"):
-        return histogram_from_records(iter(reader), header, bin_size)
     from ..formats.kernels import add_coverage_events
     diffs = {ref.name: np.zeros(ref.length + 1, dtype=np.int64)
              for ref in header.references}

@@ -18,6 +18,7 @@ from ..core.sam_converter import partition_alignments, scan_header
 from ..formats.flags import Flag
 from ..formats.record import AlignmentRecord
 from ..formats.sam import parse_alignment
+from ..formats.store import STORE_EXTENSIONS, open_record_store
 from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
 
@@ -119,19 +120,16 @@ def flagstat_records(records: Iterable[AlignmentRecord]) -> FlagStats:
 def flagstat_store(reader) -> FlagStats:
     """Flag statistics over an open record store.
 
-    A columnar store (BAMC) is counted with the vectorized
+    Counted slab by slab with the vectorized
     :func:`repro.formats.kernels.flagstat_slab` kernel — no record ever
-    materializes; row stores fall back to the record path.
+    materializes.
     """
-    if hasattr(reader, "read_column_batches"):
-        from ..formats.kernels import flagstat_slab
-        stats = FlagStats()
-        for slab in reader.read_column_batches(0, len(reader)):
-            counts = flagstat_slab(slab)
-            for name, value in counts.items():
-                setattr(stats, name, getattr(stats, name) + value)
-        return stats
-    return flagstat_records(reader)
+    from ..formats.kernels import flagstat_slab
+    stats = FlagStats()
+    for slab in reader.read_column_batches(0, len(reader)):
+        for name, value in flagstat_slab(slab).items():
+            setattr(stats, name, getattr(stats, name) + value)
+    return stats
 
 
 def flagstat(path: str | os.PathLike[str]) -> FlagStats:
@@ -141,8 +139,7 @@ def flagstat(path: str | os.PathLike[str]) -> FlagStats:
         from ..formats.bam import BamReader
         with BamReader(path) as reader:
             return flagstat_records(reader)
-    if lowered.endswith((".bamx", ".bamz", ".bamc")):
-        from ..formats.store import open_record_store
+    if lowered.endswith(STORE_EXTENSIONS):
         with open_record_store(path) as reader:
             return flagstat_store(reader)
     from ..formats.sam import SamReader

@@ -1,13 +1,16 @@
-"""Unit, property and identity tests for the columnar BAMC format.
+"""Unit, property and identity tests for the columnar BAMC format and
+the column kernels every record store is read through.
 
-The acceptance contract of the columnar store: every record round-trips
-exactly, and every conversion through the vectorized kernels is
-byte-identical to the v1 BAMX pipeline — per part file, for every
-target, with and without filters, for full and partial conversions.
+The acceptance contract: every record round-trips exactly, and every
+batched conversion of a BAMX, BAMZ or BAMC store through the vectorized
+kernels is byte-identical to the record pipeline on the same store —
+per part file, for every target, with and without filters, for full and
+partial conversions, on coordinate-sorted and shuffled input.
 """
 
 import dataclasses
 import os
+import pathlib
 import tempfile
 
 import numpy as np
@@ -20,13 +23,29 @@ from repro.core.targets import target_names
 from repro.errors import BamxFormatError, CapacityError
 from repro.formats.bamc import DEFAULT_SLAB_RECORDS, MAGIC, BamcReader, \
     BamcWriter, read_bamc, write_bamc
-from repro.formats.bamx import BamxLayout, plan_layout
+from repro.formats.bam import write_bam
+from repro.formats.bamx import BamxLayout, plan_layout, write_bamx
+from repro.formats.bamz import write_bamz
 from repro.formats.header import SamHeader
 from repro.formats.record import UNMAPPED_POS, AlignmentRecord
 from repro.formats.store import open_record_store, store_extension
 from repro.formats.tags import Tag
 
 HDR = SamHeader.from_references([("chr1", 100_000), ("chr2", 50_000)])
+
+#: Record-store formats: BAMX, BGZF-compressed BAMX (BAMZ), columnar BAMC.
+STORES = ("bamx", "bamz", "bamc")
+WRITERS = {"bamx": write_bamx, "bamz": write_bamz, "bamc": write_bamc}
+
+
+def preprocess_store(bam, work_dir, store):
+    """Preprocess *bam* into *store*; returns ``(converter, path)``."""
+    conv = BamConverter(store_format="bamc" if store == "bamc"
+                        else "bamx")
+    path, _, _ = conv.preprocess(bam, work_dir,
+                                 compress=(store == "bamz"))
+    assert path.endswith("." + store)
+    return conv, path
 
 
 def make_record(**overrides):
@@ -86,14 +105,27 @@ def test_random_access_and_ranges(tmp_path):
 def test_column_picks_preserve_caller_order(tmp_path):
     records = [make_record(qname=f"r{i}", pos=10 * i)
                for i in range(40)]
-    path = tmp_path / "t.bamc"
-    write_bamc(path, HDR, records, slab_records=8)
     picks = [3, 4, 5, 30, 31, 2, 17, 16, 39, 0]
-    with BamcReader(path) as reader:
-        got = [record
-               for slab in reader.read_column_picks(picks)
-               for record in slab.decode_all(reader.header)]
-    assert got == [records[i] for i in picks]
+    for store in STORES:
+        path = tmp_path / f"t.{store}"
+        if store == "bamc":
+            write_bamc(path, HDR, records, slab_records=8)
+        else:
+            WRITERS[store](path, HDR, records)
+        with open_record_store(path) as reader:
+            for batch_size in (0, 3):
+                slabs = list(reader.read_column_picks(picks, batch_size))
+                got = [record for slab in slabs
+                       for record in slab.decode_all(reader.header)]
+                assert got == [records[i] for i in picks], store
+                # The blob-wide decoders need each slab's sequence and
+                # quality offsets in non-decreasing order.
+                for slab in slabs:
+                    for lo in (slab.seq_lo, slab.qual_lo):
+                        assert (np.diff(lo.astype(np.int64)) >= 0).all(), \
+                            store
+                    if batch_size:
+                        assert slab.count <= batch_size
 
 
 def test_end_pos_column_is_record_end(tmp_path):
@@ -102,13 +134,37 @@ def test_end_pos_column_is_record_end(tmp_path):
                            seq="ACGT", qual="IIII"),
                make_record(flag=4, rname="*", pos=UNMAPPED_POS, mapq=0,
                            cigar=[], rnext="*", pnext=UNMAPPED_POS,
-                           tlen=0, tags=[])]
-    path = tmp_path / "t.bamc"
-    write_bamc(path, HDR, records)
-    with BamcReader(path) as reader:
-        slab = next(reader.read_column_batches(0, len(reader)))
-        assert slab.end_pos[0] == records[0].end == 107
-        assert slab.end_pos[1] == records[1].end
+                           tlen=0, tags=[]),
+               make_record(qname="b", pos=7, cigar=[], seq="*",
+                           qual="*"),
+               make_record(qname="c", pos=9,
+                           cigar=[(1, "S"), (2, "M"), (1, "I"),
+                                  (4, "N"), (1, "=")],
+                           seq="ACGTA", qual="IIIII")]
+    for store in STORES:
+        path = tmp_path / f"t.{store}"
+        WRITERS[store](path, HDR, records)
+        with open_record_store(path) as reader:
+            slab = next(reader.read_column_batches(0, len(reader)))
+            assert slab.end_pos.tolist() == [r.end for r in records]
+            assert slab.end_pos[0] == 107
+
+
+def test_row_store_rejects_lengths_beyond_capacity(tmp_path):
+    """A corrupt length field in a row store is a structured error on
+    the column read path, never an out-of-bounds blob."""
+    path = tmp_path / "t.bamx"
+    write_bamx(path, HDR, [make_record(), make_record(qname="q2")])
+    data = bytearray(path.read_bytes())
+    with open_record_store(path) as reader:
+        rsize = reader.layout.record_size
+    data_offset = len(data) - 2 * rsize
+    # n_cigar of the second record (offset 12 of the fixed fields).
+    data[data_offset + rsize + 12] = 0x7F
+    path.write_bytes(bytes(data))
+    with open_record_store(path) as reader:
+        with pytest.raises(BamxFormatError):
+            list(reader.read_column_batches(0, len(reader)))
 
 
 def test_capacity_violations(tmp_path):
@@ -225,47 +281,77 @@ def test_bamc_fuzz_roundtrip(batch, slab_records):
     assert decoded == [_norm(r) for r in batch]
 
 
-# -- byte identity against the v1 BAMX pipeline -----------------------
+# -- byte identity against the record pipeline ------------------------
 
 FILTERS = [None, RecordFilter(min_mapq=30, primary_only=True)]
 
 
 def _parts(result):
-    return {os.path.basename(p): open(p, "rb").read()
+    return {os.path.basename(p): pathlib.Path(p).read_bytes()
             for p in result.outputs}
 
 
 @pytest.mark.parametrize("target", target_names())
 def test_bamc_conversion_byte_identical_all_targets(bam_file, tmp_path,
                                                     target):
-    bamx_conv = BamConverter()
-    bamc_conv = BamConverter(store_format="bamc")
-    bamx, _, _ = bamx_conv.preprocess(bam_file, tmp_path / "wx")
-    bamc, _, _ = bamc_conv.preprocess(bam_file, tmp_path / "wc")
-    assert bamc.endswith(".bamc")
-    for i, flt in enumerate(FILTERS):
-        v1 = bamx_conv.convert(bamx, target, tmp_path / f"x{i}",
+    """Batched conversion of every store == the record pipeline on the
+    same store, per part file, with and without a filter."""
+    for store in STORES:
+        conv, path = preprocess_store(bam_file, tmp_path / store, store)
+        record = BamConverter(pipeline="record")
+        for i, flt in enumerate(FILTERS):
+            ref = record.convert(path, target, tmp_path / f"r{store}{i}",
+                                 nprocs=2, record_filter=flt)
+            got = conv.convert(path, target, tmp_path / f"b{store}{i}",
                                nprocs=2, record_filter=flt)
-        v2 = bamc_conv.convert(bamc, target, tmp_path / f"c{i}",
-                               nprocs=2, record_filter=flt)
-        assert _parts(v2) == _parts(v1), (target, flt)
-        assert (v2.records, v2.emitted) == (v1.records, v1.emitted)
+            assert _parts(got) == _parts(ref), (store, target, flt)
+            assert (got.records, got.emitted) \
+                == (ref.records, ref.emitted)
 
 
 @pytest.mark.parametrize("mode", ["start", "overlap"])
 def test_bamc_region_byte_identical(bam_file, tmp_path, mode):
-    bamx_conv = BamConverter()
-    bamc_conv = BamConverter(store_format="bamc")
-    bamx, _, _ = bamx_conv.preprocess(bam_file, tmp_path / "wx")
-    bamc, _, _ = bamc_conv.preprocess(bam_file, tmp_path / "wc")
-    for target in ("bed", "fastq", "sam"):
-        v1 = bamx_conv.convert_region(bamx, None, "chr1:1-40000",
-                                      target, tmp_path / f"x-{target}",
-                                      nprocs=2, mode=mode)
-        v2 = bamc_conv.convert_region(bamc, None, "chr1:1-40000",
-                                      target, tmp_path / f"c-{target}",
-                                      nprocs=2, mode=mode)
-        assert _parts(v2) == _parts(v1), (target, mode)
+    for store in STORES:
+        conv, path = preprocess_store(bam_file, tmp_path / store, store)
+        record = BamConverter(pipeline="record")
+        for target in ("bed", "fasta", "fastq", "sam"):
+            ref = record.convert_region(
+                path, None, "chr1:1-40000", target,
+                tmp_path / f"r-{store}-{target}", nprocs=2, mode=mode)
+            got = conv.convert_region(
+                path, None, "chr1:1-40000", target,
+                tmp_path / f"b-{store}-{target}", nprocs=2, mode=mode)
+            assert _parts(got) == _parts(ref), (store, target, mode)
+
+
+@pytest.mark.parametrize("store", STORES)
+@pytest.mark.parametrize("mode", ["start", "overlap"])
+def test_shuffled_picks_match_record_pipeline(workload, tmp_path, store,
+                                              mode):
+    """Region picks on an unsorted BAM reach the store in non-monotonic
+    record order; batched output must still equal the record pipeline
+    (BAMC used to emit empty or truncated FASTA/FASTQ here)."""
+    import random
+    _genome, header, records = workload
+    shuffled = list(records)
+    random.Random(5).shuffle(shuffled)
+    bam = str(tmp_path / "shuf.bam")
+    write_bam(bam, header, shuffled)
+    conv, path = preprocess_store(bam, tmp_path / "w", store)
+    record = BamConverter(pipeline="record")
+    for target in ("fasta", "fastq", "bed", "sam"):
+        for name, call in (
+                ("one", lambda c, out: c.convert_region(
+                    path, None, "chr1:1-60000", target, out, nprocs=2,
+                    mode=mode)),
+                ("many", lambda c, out: c.convert_regions(
+                    path, None, ["chr1:30000-40000", "chr1:5000-20000",
+                                 "chr2:1-40000"], target, out,
+                    nprocs=1, mode=mode))):
+            ref = call(record, tmp_path / f"r-{target}-{name}")
+            got = call(conv, tmp_path / f"b-{target}-{name}")
+            assert got.emitted > 0
+            assert _parts(got) == _parts(ref), (target, name)
 
 
 def test_record_pipeline_matches_batch_on_bamc(bam_file, tmp_path):
@@ -280,12 +366,13 @@ def test_record_pipeline_matches_batch_on_bamc(bam_file, tmp_path):
 
 def test_kernel_fallback_counted_for_non_kernel_targets(bam_file,
                                                         tmp_path):
-    conv = BamConverter(store_format="bamc")
-    bamc, _, _ = conv.preprocess(bam_file, tmp_path / "w")
-    kernel = conv.convert(bamc, "bed", tmp_path / "k")
-    fallback = conv.convert(bamc, "gff", tmp_path / "f")
-    assert sum(m.kernel_fallbacks for m in kernel.rank_metrics) == 0
-    assert sum(m.kernel_fallbacks for m in fallback.rank_metrics) > 0
+    for store in STORES:
+        conv, path = preprocess_store(bam_file, tmp_path / store, store)
+        kernel = conv.convert(path, "bed", tmp_path / f"k{store}")
+        fallback = conv.convert(path, "gff", tmp_path / f"f{store}")
+        assert sum(m.kernel_fallbacks for m in kernel.rank_metrics) == 0
+        assert sum(m.kernel_fallbacks
+                   for m in fallback.rank_metrics) > 0, store
 
 
 # -- vectorized kernels vs record-path results ------------------------
@@ -294,23 +381,24 @@ def test_flagstat_kernel_matches_record_path(bam_file, tmp_path,
                                              workload):
     from repro.tools.flagstat import flagstat, flagstat_records
     _genome, _header, records = workload
-    conv = BamConverter(store_format="bamc")
-    bamc, _, _ = conv.preprocess(bam_file, tmp_path / "w")
-    assert flagstat(bamc) == flagstat_records(records)
+    expect = flagstat_records(records)
+    for store in STORES:
+        _conv, path = preprocess_store(bam_file, tmp_path / store, store)
+        assert flagstat(path) == expect, store
 
 
 def test_histogram_kernel_matches_record_path(bam_file, tmp_path,
                                               workload):
     from repro.stats import histogram_from_records, histogram_from_store
     _genome, header, records = workload
-    conv = BamConverter(store_format="bamc")
-    bamc, _, _ = conv.preprocess(bam_file, tmp_path / "w")
-    with open_record_store(bamc) as reader:
-        columnar = histogram_from_store(reader, 25)
     reference = histogram_from_records(records, header, 25)
-    assert set(columnar) == set(reference)
-    for name in reference:
-        assert np.array_equal(columnar[name], reference[name])
+    for store in STORES:
+        _conv, path = preprocess_store(bam_file, tmp_path / store, store)
+        with open_record_store(path) as reader:
+            columnar = histogram_from_store(reader, 25)
+        assert set(columnar) == set(reference)
+        for name in reference:
+            assert np.array_equal(columnar[name], reference[name]), store
 
 
 def test_filter_mask_matches_scalar_filter(tmp_path, workload):

@@ -224,19 +224,6 @@ def test_parse_sam_lines_matches_per_line_parse(batch):
     assert batch_codec.parse_sam_lines(lines) == batch
 
 
-@given(st.lists(record_strategy(), min_size=1, max_size=8))
-@settings(max_examples=20, deadline=None)
-def test_encode_bamx_batch_matches_concat(batch):
-    layout = plan_layout(batch)
-    expected = b"".join(layout.encode(r, HDR) for r in batch)
-    assert bytes(batch_codec.encode_bamx_batch(batch, HDR, layout)) \
-        == expected
-    decoded = batch_codec.decode_bamx_batch(
-        memoryview(expected), len(batch), layout, HDR)
-    from tests.test_properties_records import _norm
-    assert decoded == [_norm(r) for r in batch]
-
-
 @given(st.lists(record_strategy(), min_size=1, max_size=9),
        st.integers(1, 4))
 @settings(max_examples=15, deadline=None)
@@ -265,14 +252,13 @@ def test_bamx_read_raw_batches_roundtrip(batch, batch_size):
         with BamxWriter(path, HDR, plan_layout(batch)) as w:
             w.write_batch(batch)
         with BamxReader(path) as reader:
+            rsize = reader.layout.record_size
             decoded = []
             for buf, count in reader.read_raw_batches(
                     0, len(batch), batch_size):
-                decoded.extend(batch_codec.decode_bamx_batch(
-                    buf, count, reader.layout, reader.header))
-            raw0 = reader.read_raw(0)
-            assert bytes(raw0) == bytes(
-                next(reader.read_raw_batches(0, 1))[0])
+                decoded.extend(reader.layout.decode(buf, reader.header,
+                                                    i * rsize)
+                               for i in range(count))
     assert decoded == [_norm(r) for r in batch]
 
 

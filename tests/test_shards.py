@@ -230,56 +230,84 @@ def test_service_job_with_shards_param(sam_file, tmp_path):
         reset_shared_executor()
 
 
-# -- Columnar stores: shards x kernels x the v1 reference ------------
+# -- Every record store: shards x kernels x the record reference ----
 
-@pytest.mark.parametrize("target", ["bed", "sam"])
+STORES = ("bamx", "bamz", "bamc")
+TEXT_TARGETS = ["bed", "sam", "bedgraph", "fasta", "fastq", "gff",
+                "json", "yaml"]
+
+
+@pytest.fixture(scope="module")
+def stores(bam_file, tmp_path_factory):
+    """``{store: (store_path, start_index_path)}`` for one BAM."""
+    root = tmp_path_factory.mktemp("stores")
+    out = {}
+    for store in STORES:
+        conv = BamConverter(store_format="bamc" if store == "bamc"
+                            else "bamx")
+        path, baix, _ = conv.preprocess(bam_file, root / store,
+                                        compress=(store == "bamz"))
+        out[store] = (path, baix)
+    return out
+
+
+@pytest.mark.parametrize("target", TEXT_TARGETS)
 @pytest.mark.parametrize("executor", EXECUTORS)
-def test_bamc_sharded_identity_vs_bamx(bam_file, tmp_path, executor,
+def test_bamc_sharded_identity_vs_bamx(stores, tmp_path, executor,
                                        target):
-    """Sharded columnar conversion == static row-store conversion.
+    """Batched conversion of every store, static and sharded, with and
+    without a filter == the static record pipeline on the same store.
 
-    ``bed`` exercises the vectorized kernel emitters; ``sam`` has no
-    kernel, so every columnar slab takes the record-driver fallback —
-    both must reproduce the v1 bytes under over-decomposition.
+    ``bed``/``bedgraph``/``fasta``/``fastq`` run the vectorized kernel
+    emitters; the other targets take the per-slab record fallback.
     """
-    row = BamConverter()
-    bamx, _, _ = row.preprocess(bam_file, tmp_path / "wx")
-    static = row.convert(bamx, target, tmp_path / "static", nprocs=3)
-    col = BamConverter(shards_per_rank=4, store_format="bamc")
-    bamc, _, _ = col.preprocess(bam_file, tmp_path / "wc")
-    sharded = col.convert(bamc, target, tmp_path / f"dyn-{executor}",
-                          nprocs=3, executor=executor)
-    assert read_parts(sharded) == read_parts(static)
-    assert_no_shard_leftovers(tmp_path / f"dyn-{executor}")
+    flt = RecordFilter(min_mapq=30, primary_only=True)
+    for store, (path, _baix) in stores.items():
+        for f in (None, flt):
+            ref = BamConverter(pipeline="record").convert(
+                path, target, tmp_path / f"ref-{store}-{f is None}",
+                nprocs=3, record_filter=f)
+            for shards in (1, 4):
+                out = tmp_path / f"{store}-{f is None}-{shards}"
+                got = BamConverter(shards_per_rank=shards).convert(
+                    path, target, out, nprocs=3, executor=executor,
+                    record_filter=f)
+                assert read_parts(got) == read_parts(ref), \
+                    (store, f, shards)
+                assert_no_shard_leftovers(out)
 
 
-@pytest.mark.parametrize("target", ["bed", "sam"])
-def test_bamc_region_sharded_identity_vs_bamx(bam_file, tmp_path,
-                                              target):
-    row = BamConverter()
-    bamx, baix, _ = row.preprocess(bam_file, tmp_path / "wx")
-    static = row.convert_region(bamx, baix, "chr1:1-40000", target,
-                                tmp_path / "static", nprocs=2)
-    col = BamConverter(shards_per_rank=3, store_format="bamc")
-    bamc, cbaix, _ = col.preprocess(bam_file, tmp_path / "wc")
-    sharded = col.convert_region(bamc, cbaix, "chr1:1-40000", target,
-                                 tmp_path / "dyn", nprocs=2,
-                                 executor="process")
-    assert read_parts(sharded) == read_parts(static)
-    assert_no_shard_leftovers(tmp_path / "dyn")
+@pytest.mark.parametrize("target", TEXT_TARGETS)
+def test_bamc_region_sharded_identity_vs_bamx(stores, tmp_path, target):
+    """Region picks (start and overlap) of every store on every
+    executor, static and sharded == the record pipeline."""
+    for store, (path, _baix) in stores.items():
+        for mode in ("start", "overlap"):
+            ref = BamConverter(pipeline="record").convert_region(
+                path, None, "chr1:1-40000", target,
+                tmp_path / f"ref-{store}-{mode}", nprocs=2, mode=mode)
+            for executor in EXECUTORS:
+                for shards in (1, 3):
+                    out = tmp_path / f"{store}-{mode}-{executor}-{shards}"
+                    got = BamConverter(
+                        shards_per_rank=shards).convert_region(
+                        path, None, "chr1:1-40000", target, out,
+                        nprocs=2, mode=mode, executor=executor)
+                    assert read_parts(got) == read_parts(ref), \
+                        (store, mode, executor, shards)
+                    assert_no_shard_leftovers(out)
 
 
-def test_bamc_sharded_with_filter(bam_file, tmp_path):
+def test_bamc_sharded_with_filter(stores, tmp_path):
     f = RecordFilter(min_mapq=30, primary_only=True)
-    row = BamConverter()
-    bamx, _, _ = row.preprocess(bam_file, tmp_path / "wx")
-    static = row.convert(bamx, "fastq", tmp_path / "s", nprocs=2,
-                         record_filter=f)
-    col = BamConverter(shards_per_rank=5, store_format="bamc")
-    bamc, _, _ = col.preprocess(bam_file, tmp_path / "wc")
-    sharded = col.convert(bamc, "fastq", tmp_path / "d", nprocs=2,
-                          executor="process", record_filter=f)
-    assert read_parts(sharded) == read_parts(static)
+    for store, (path, _baix) in stores.items():
+        ref = BamConverter(pipeline="record").convert(
+            path, "fastq", tmp_path / f"s-{store}", nprocs=2,
+            record_filter=f)
+        sharded = BamConverter(shards_per_rank=5).convert(
+            path, "fastq", tmp_path / f"d-{store}", nprocs=2,
+            executor="process", record_filter=f)
+        assert read_parts(sharded) == read_parts(ref), store
 
 
 def test_preproc_sam_converter_bamc_parts(sam_file, tmp_path):

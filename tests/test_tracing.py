@@ -325,6 +325,45 @@ def test_rank_spans_nest_under_convert(installed_tracer, bam_file,
         assert by_id[write.parent_id].rank == write.rank
 
 
+@pytest.mark.parametrize("executor", ["simulate", "thread", "process"])
+def test_shard_spans_nest_under_convert(installed_tracer, bam_file,
+                                        tmp_path, executor):
+    from repro.core import BamConverter
+    store, _, _ = BamConverter().preprocess(bam_file, str(tmp_path / "w"))
+    BamConverter(shards_per_rank=3).convert(
+        store, "bed", str(tmp_path / "out"), nprocs=2, executor=executor)
+    spans = installed_tracer.spans()
+    convert = next(s for s in spans if s.name == "convert")
+    assert not [s for s in spans if s.name == "rank"]
+    shards = [s for s in spans if s.name == "shard"]
+    assert sorted((s.args["rank"], s.args["shard"]) for s in shards) \
+        == [(r, i) for r in range(2) for i in range(3)]
+    for shard in shards:
+        assert shard.parent_id == convert.span_id
+        assert shard.rank == shard.args["rank"]
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_single_static_rank_never_starts_a_pool(bam_file, tmp_path,
+                                                traced):
+    from repro.core import BamConverter
+    from repro.runtime.executor import reset_shared_executor, \
+        shared_executor_stats
+    store, _, _ = BamConverter().preprocess(bam_file, str(tmp_path / "w"))
+    tracer = Tracer(enabled=traced)
+    prev = install(tracer)
+    reset_shared_executor()
+    try:
+        BamConverter().convert(store, "bed", str(tmp_path / "out"),
+                               nprocs=1, executor="process")
+        assert shared_executor_stats() == {}
+    finally:
+        install(prev)
+        reset_shared_executor()
+    ranks = [s for s in tracer.spans() if s.name == "rank"]
+    assert len(ranks) == (1 if traced else 0)
+
+
 def test_sam_converter_spans(installed_tracer, sam_file, tmp_path):
     from repro.core import SamConverter
     SamConverter().convert(sam_file, "bed", str(tmp_path / "out"),
