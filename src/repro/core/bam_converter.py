@@ -5,9 +5,10 @@ byte split leaves every partition unparsable: BAM conversion cannot be
 parallelized without preprocessing.  The converter therefore runs two
 phases:
 
-1. **Sequential preprocessing** — stream the BAM once to plan the BAMX
-   layout, stream it again to write the fixed-record BAMX file and its
-   BAIX index (sorted starting positions -> record indices).
+1. **Sequential preprocessing** — stream the BAM once, transposing its
+   records slab by slab into columns, then write the fixed-record BAMX
+   file (its capacities are the column maxima) and its BAIX index
+   (sorted starting positions -> record indices) from those columns.
 2. **Parallel conversion** — the BAMX supports O(1) random access, so
    partitioning degenerates to handing each rank an equal count of
    records; from there the flow matches the SAM converter.
@@ -22,18 +23,26 @@ from BAM without preprocessing (necessarily one rank).
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from ..errors import ConversionError
 from ..formats.bam import BamReader
 from ..formats.baix import BaixIndex, default_index_path
+from ..formats.baix2 import BaixOverlapIndex
+from ..formats.baix2 import default_index_path as baix2_path
+from ..formats.bamc import BamcWriter
 from ..formats.bamx import BamxLayout, BamxWriter
+from ..formats.bamz import BamzWriter
+from ..formats.bamz import index_path_for as bzi_path
 from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
 from ..formats.store import open_record_store
 from ..formats.header import SamHeader
-from ..formats.tags import encode_tags
+from ..formats.transpose import transpose_bam
 from ..runtime.autotune import AUTO, AutoTuner
 from ..runtime.buffers import BufferedTextWriter
 from ..runtime.metrics import RankMetrics
@@ -55,16 +64,25 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
                    batch_size: int = DEFAULT_BATCH_SIZE,
                    store_format: str = "bamx",
                    ) -> RankMetrics:
-    """Sequential preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX.
+    """Sequential preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX/BAIX2.
 
-    Two streaming passes over the BAM (layout planning, then writing);
-    the BGZF layer forbids anything but sequential decoding, which is
-    why this phase cannot be parallelized (§III-B).  With
+    One streaming pass inflates the BAM and transposes it, *batch_size*
+    records at a time, into column slabs
+    (:func:`~repro.formats.transpose.transpose_bam`); the BGZF layer
+    forbids anything but sequential decoding, which is why this phase
+    cannot be parallelized (§III-B).  The store layout's capacities are
+    the column maxima, the same slabs are written to the record store,
+    and both indexes come from one sort of the placed records.  With
     ``compress=True`` the record store is written as BGZF-compressed
     BAMZ (the paper's future-work extension) instead of raw BAMX; with
     ``store_format="bamc"`` it is written as the slab-columnar BAMC,
     which the conversion phase reads through the vectorized kernels.
-    Returns the phase metrics.
+
+    The outputs are byte-identical to decoding every record and
+    writing it through the record writers, and a bad input raises what
+    that path raises.  Every artifact is written under a temporary name
+    and renamed into place once all are complete, so a failed run
+    leaves none behind.  Returns the phase metrics.
     """
     from ..formats.store import STORE_FORMATS
     if store_format not in STORE_FORMATS:
@@ -79,70 +97,77 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     metrics = RankMetrics()
     bam_path = os.fspath(bam_path)
     bamx_path = os.fspath(bamx_path)
-    if baix_path is None:
-        baix_path = default_index_path(bamx_path)
+    baix_path = os.fspath(baix_path or default_index_path(bamx_path))
+    suffix = f".tmp{os.getpid()}"
+    store_tmp = bamx_path + suffix
+    baix_tmp = baix_path + suffix
+    baix2_tmp = baix2_path(bamx_path) + suffix
+    renames = [(store_tmp, bamx_path), (baix_tmp, baix_path),
+               (baix2_tmp, baix2_path(bamx_path))]
+    if compress:
+        renames.append((bzi_path(store_tmp), bzi_path(bamx_path)))
     tracer = get_tracer()
-    with tracer.span("preprocess", "bam",
-                     args={"input": os.path.basename(bam_path),
-                           "compress": compress,
-                           "store_format": store_format}):
-        # Pass 1: plan the fixed-field capacities.
-        name_cap = cigar_cap = seq_cap = tag_cap = 0
-        count = 0
-        with tracer.span("plan", "bam"), BamReader(bam_path) as reader:
-            header = reader.header
-            for record in reader:
-                name_cap = max(name_cap, len(record.qname))
-                cigar_cap = max(cigar_cap, len(record.cigar))
-                if record.seq != "*":
-                    seq_cap = max(seq_cap, len(record.seq))
-                tag_cap = max(tag_cap, len(encode_tags(record.tags)))
-                count += 1
-        layout = BamxLayout(name_cap, cigar_cap, seq_cap, tag_cap)
-        # Pass 2: write aligned records and collect index entries.
-        if store_format == "bamc":
-            from ..formats.bamc import BamcWriter
-            writer_ctx = BamcWriter(bamx_path, header, layout,
+    renaming = False
+    try:
+        with tracer.span("preprocess", "bam",
+                         args={"input": os.path.basename(bam_path),
+                               "compress": compress,
+                               "store_format": store_format}):
+            with tracer.span("transpose", "bam",
+                             args={"slab_records": batch_size}) as span, \
+                    BamReader(bam_path) as reader:
+                header = reader.header
+                slabs = list(transpose_bam(reader, batch_size))
+                count = sum(slab.count for slab in slabs)
+                if span is not None:
+                    span.args.update(records=count, slabs=len(slabs))
+            layout = BamxLayout.of_columns(slabs)
+            if store_format == "bamc":
+                writer = BamcWriter(store_tmp, header, layout,
                                     slab_records=batch_size)
-        elif compress:
-            from ..formats.bamz import BamzWriter
-            writer_ctx = BamzWriter(bamx_path, header, layout, level=level)
-        else:
-            writer_ctx = BamxWriter(bamx_path, header, layout)
-        index_entries = []
-        with tracer.span("write", "bam", args={"records": count}), \
-                BamReader(bam_path) as reader, writer_ctx as writer, \
-                tracer.span("batch.encode", "bam",
-                            args={"batch_size": batch_size}):
-            pending: list = []
-            for record in reader:
-                pending.append(record)
-                if len(pending) >= batch_size:
-                    _flush_preproc_batch(writer, pending, index_entries)
-                    pending = []
-            if pending:
-                _flush_preproc_batch(writer, pending, index_entries)
-        with tracer.span("index", "bam",
-                         args={"entries": len(index_entries)}):
-            BaixIndex.build(index_entries, header).save(baix_path)
-            from ..formats.baix2 import BaixOverlapIndex
-            from ..formats.baix2 import default_index_path as baix2_path
-            BaixOverlapIndex.build(index_entries, header).save(
-                baix2_path(bamx_path))
+            elif compress:
+                writer = BamzWriter(store_tmp, header, layout, level=level)
+            else:
+                writer = BamxWriter(store_tmp, header, layout)
+            with tracer.span("write", "bam", args={"records": count}), \
+                    writer:
+                for slab in slabs:
+                    writer.write_columns(slab)
+            with tracer.span("index", "bam") as span:
+                overlap = BaixOverlapIndex.from_columns(*_placed(slabs))
+                overlap.save(baix2_tmp)
+                BaixIndex(overlap.ref_ids, overlap.starts,
+                          overlap.indices).save(baix_tmp)
+                if span is not None:
+                    span.args.update(entries=len(overlap))
+            renaming = True
+            for tmp, final in renames:
+                os.replace(tmp, final)
+    except BaseException:
+        for tmp, final in renames:
+            for path in (tmp, final) if renaming else (tmp,):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+        raise
     metrics.records = count
-    metrics.bytes_read = 2 * os.path.getsize(bam_path)
-    metrics.bytes_written = (os.path.getsize(bamx_path)
-                             + os.path.getsize(baix_path))
+    metrics.bytes_read = os.path.getsize(bam_path)
+    metrics.bytes_written = sum(os.path.getsize(final)
+                                for _, final in renames)
     return finish_rank_metrics(metrics, t0)
 
 
-def _flush_preproc_batch(writer, records: list,
-                         index_entries: list) -> None:
-    """Write one preprocessing batch and collect its index entries."""
-    first = writer.write_batch(records)
-    for j, record in enumerate(records):
-        if record.rname != "*" and record.pos >= 0:
-            index_entries.append((first + j, record))
+def _placed(slabs) -> tuple[np.ndarray, ...]:
+    """``(ref_ids, starts, ends, record indices)`` of the records of
+    *slabs* that have a reference and a position."""
+    columns = []
+    for slab in slabs:
+        placed = (slab.ref_id >= 0) & (slab.pos >= 0)
+        columns.append((slab.ref_id[placed], slab.pos[placed],
+                        slab.end_pos[placed],
+                        slab.start + np.flatnonzero(placed)))
+    if not columns:
+        return (np.empty(0, np.int32),) * 3 + (np.empty(0, np.int64),)
+    return tuple(np.concatenate(parts) for parts in zip(*columns))
 
 
 @dataclass(frozen=True, slots=True)
@@ -626,9 +651,6 @@ class BamConverter:
                                               region.start, region.end)
                         index_lists.append(index.record_indices(lo, hi))
                 else:
-                    from ..formats.baix2 import BaixOverlapIndex
-                    from ..formats.baix2 import default_index_path \
-                        as baix2_path
                     if baix_path is None:
                         baix_path = baix2_path(bamx_path)
                     index2 = BaixOverlapIndex.load(baix_path)

@@ -69,11 +69,17 @@ class BaixIndex:
             ref_ids.append(header.ref_id(record.rname))
             positions.append(record.pos)
             indices.append(index)
-        ref_arr = np.asarray(ref_ids, dtype=np.int32)
-        pos_arr = np.asarray(positions, dtype=np.int32)
-        idx_arr = np.asarray(indices, dtype=np.int64)
-        order = np.lexsort((idx_arr, pos_arr, ref_arr))
-        return cls(ref_arr[order], pos_arr[order], idx_arr[order])
+        return cls.from_columns(np.asarray(ref_ids, dtype=np.int32),
+                                np.asarray(positions, dtype=np.int32),
+                                np.asarray(indices, dtype=np.int64))
+
+    @classmethod
+    def from_columns(cls, ref_ids: np.ndarray, positions: np.ndarray,
+                     indices: np.ndarray) -> "BaixIndex":
+        """Build from the placed records' columns, in any order: one
+        lexsort by (ref id, position, record index)."""
+        order = np.lexsort((indices, positions, ref_ids))
+        return cls(ref_ids[order], positions[order], indices[order])
 
     @classmethod
     def from_bamx(cls, reader: BamxReader) -> "BaixIndex":

@@ -82,13 +82,20 @@ class BaixOverlapIndex:
             starts.append(record.pos)
             ends.append(record.end)
             indices.append(index)
-        ref_arr = np.asarray(ref_ids, dtype=np.int32)
-        start_arr = np.asarray(starts, dtype=np.int32)
-        end_arr = np.asarray(ends, dtype=np.int32)
-        idx_arr = np.asarray(indices, dtype=np.int64)
-        order = np.lexsort((idx_arr, start_arr, ref_arr))
-        return cls(ref_arr[order], start_arr[order], end_arr[order],
-                   idx_arr[order])
+        return cls.from_columns(np.asarray(ref_ids, dtype=np.int32),
+                                np.asarray(starts, dtype=np.int32),
+                                np.asarray(ends, dtype=np.int32),
+                                np.asarray(indices, dtype=np.int64))
+
+    @classmethod
+    def from_columns(cls, ref_ids: np.ndarray, starts: np.ndarray,
+                     ends: np.ndarray,
+                     indices: np.ndarray) -> "BaixOverlapIndex":
+        """Build from the placed records' columns, in any order: one
+        lexsort by (ref id, start, record index)."""
+        order = np.lexsort((indices, starts, ref_ids))
+        return cls(ref_ids[order], starts[order], ends[order],
+                   indices[order])
 
     # -- (de)serialization -------------------------------------------------
 

@@ -18,7 +18,9 @@ import os
 import struct
 from collections.abc import Iterable, Iterator
 
-from ..errors import BamFormatError
+import numpy as np
+
+from ..errors import BamFormatError, BgzfError
 from .bgzf import BgzfReader, BgzfWriter
 from .binning import reg2bin
 from .cigar import decode_ops, encode_ops
@@ -31,6 +33,7 @@ from .tags import decode_tags, encode_tags
 MAGIC = b"BAM\x01"
 
 _FIXED = struct.Struct("<iiBBHHHiiii")  # refID..tlen after block_size
+_BLOCK_SIZE = struct.Struct("<i")
 
 
 def encode_record(record: AlignmentRecord, header: SamHeader) -> bytes:
@@ -244,6 +247,60 @@ class BamReader:
             if record is None:
                 return
             yield voffset, record
+
+    def read_raw_slabs(self, max_records: int,
+                       ) -> Iterator[tuple[bytes, np.ndarray]]:
+        """Yield ``(buf, starts)``: up to *max_records* whole raw records.
+
+        Record *i* of a slab is ``buf[starts[i]:]`` from its
+        ``block_size`` field on, so this walks the ``block_size`` chain
+        without decoding a record.  A stream that ends inside a record,
+        a negative ``block_size`` or a corrupt BGZF block raises the
+        exception class iteration raises, but only after every whole
+        record before the fault has been yielded.
+        """
+        unpack = _BLOCK_SIZE.unpack_from
+        buf = bytearray()
+        pos = 0
+        starts: list[int] = []
+        while True:
+            n = len(buf)
+            while pos + 4 <= n:
+                (size,) = unpack(buf, pos)
+                if size < 0 or pos + 4 + size > n:
+                    break
+                starts.append(pos)
+                pos += 4 + size
+                if len(starts) == max_records:
+                    yield bytes(buf[:pos]), np.array(starts)
+                    del buf[:pos]
+                    pos, starts, n = 0, [], len(buf)
+            try:
+                # A negative block_size makes read_exactly swallow the
+                # rest of the stream and fail: read no further.
+                negative = pos + 4 <= n and unpack(buf, pos)[0] < 0
+                chunk = b"" if negative else self._bgzf.read_block()
+                if not chunk and pos < n:
+                    raise self._truncated(bytes(buf[pos:]))
+            except Exception:
+                if starts:
+                    yield bytes(buf[:pos]), np.array(starts)
+                raise
+            if not chunk:
+                break
+            buf += chunk
+        if starts:
+            yield bytes(buf[:pos]), np.array(starts)
+
+    def _truncated(self, tail: bytes) -> Exception:
+        """The error :meth:`_read_one` raises on a stream that ends with
+        the partial record *tail*."""
+        if len(tail) < 4:
+            return BamFormatError("truncated record length",
+                                  source=self.source_name)
+        (size,) = _BLOCK_SIZE.unpack_from(tail)
+        return BgzfError(f"unexpected EOF: wanted {size} bytes, got "
+                         f"{len(tail) - 4}")
 
     def seek_virtual(self, voffset: int) -> None:
         """Jump to a record boundary previously obtained from

@@ -231,6 +231,42 @@ def _regather(lo: np.ndarray, hi: np.ndarray, blob: bytes,
     return new_lo, new_hi, np.frombuffer(blob, np.uint8)[src].tobytes()
 
 
+def packed_field(lo: np.ndarray, hi: np.ndarray,
+                 blob: bytes) -> np.ndarray:
+    """The bytes ``blob[lo[i]:hi[i]]`` of every record, concatenated in
+    record order (a zero-copy view when they already are)."""
+    if len(lo) and (lo[1:] == hi[:-1]).all():
+        return np.frombuffer(blob, np.uint8)[lo[0]:hi[-1]]
+    return np.frombuffer(_regather(lo, hi, blob)[2], np.uint8)
+
+
+def _section(blobs: list[bytes]) -> tuple[np.ndarray, np.ndarray, bytes]:
+    """``(lo, hi, blob)`` of per-record byte strings laid end to end."""
+    lengths = np.array([len(b) for b in blobs], dtype=np.int64)
+    hi = np.cumsum(lengths)
+    return hi - lengths, hi, b"".join(blobs)
+
+
+def _slab_bytes(slab: ColumnSlab) -> bytes:
+    """Serialize *slab* in the on-disk slab layout."""
+    parts = [np.ascontiguousarray(column, dtype) for column, dtype in (
+        (slab.ref_id, "<i4"), (slab.pos, "<i4"), (slab.end_pos, "<i4"),
+        (slab.next_ref, "<i4"), (slab.next_pos, "<i4"),
+        (slab.tlen, "<i4"), (slab.l_seq, "<i4"), (slab.flag, "<u2"),
+        (slab.mapq, "u1"))]
+    for lo, hi, blob in (
+            (slab.name_lo, slab.name_hi, slab.name_blob),
+            (slab.cigar_lo, slab.cigar_hi, slab.cigar_blob),
+            (slab.seq_lo, slab.seq_hi, slab.seq_blob),
+            (slab.qual_lo, slab.qual_hi, slab.qual_blob),
+            (slab.tag_lo, slab.tag_hi, slab.tag_blob)):
+        offsets = np.zeros(slab.count + 1, "<u4")
+        np.cumsum(hi - lo, out=offsets[1:])
+        parts.append(offsets)
+        parts.append(packed_field(lo, hi, blob))
+    return b"".join(parts)
+
+
 def _parse_slab(buf: bytes, start: int, count: int) -> ColumnSlab:
     """Build a :class:`ColumnSlab` over one raw slab buffer."""
     off = 0
@@ -414,23 +450,39 @@ class BamcWriter:
                 seqs.append(b"")
                 quals.append(b"")
             tags.append(tag_block)
-        parts = [
-            np.array(ref_ids, "<i4").tobytes(),
-            np.array(poss, "<i4").tobytes(),
-            np.array(ends, "<i4").tobytes(),
-            np.array(next_refs, "<i4").tobytes(),
-            np.array(next_poss, "<i4").tobytes(),
-            np.array(tlens, "<i4").tobytes(),
-            np.array(l_seqs, "<i4").tobytes(),
-            np.array(flags, "<u2").tobytes(),
-            np.array(mapqs, "u1").tobytes(),
-        ]
-        for blobs in (names, cigars, seqs, quals, tags):
-            offsets = np.zeros(n + 1, "<u4")
-            offsets[1:] = np.cumsum([len(b) for b in blobs])
-            parts.append(offsets.tobytes())
-            parts.append(b"".join(blobs))
-        return b"".join(parts)
+        sections = [_section(blobs)
+                    for blobs in (names, cigars, seqs, quals, tags)]
+        (name_lo, name_hi, name_blob), (cigar_lo, cigar_hi, cigar_blob), \
+            (seq_lo, seq_hi, seq_blob), (qual_lo, qual_hi, qual_blob), \
+            (tag_lo, tag_hi, tag_blob) = sections
+        # Typed up front: a value out of its column's range raises.
+        return _slab_bytes(ColumnSlab(
+            -1, n, np.array(ref_ids, "<i4"), np.array(poss, "<i4"),
+            np.array(ends, "<i4"), np.array(next_refs, "<i4"),
+            np.array(next_poss, "<i4"), np.array(tlens, "<i4"),
+            np.array(l_seqs, "<i4"), np.array(flags, "<u2"),
+            np.array(mapqs, "u1"),
+            name_lo, name_hi, cigar_lo, cigar_hi, seq_lo, seq_hi,
+            qual_lo, qual_hi, tag_lo, tag_hi,
+            name_blob, cigar_blob, seq_blob, qual_blob, tag_blob))
+
+    def write_columns(self, slab: ColumnSlab) -> int:
+        """Append *slab*'s records; return the first one's index.
+
+        Pending records are flushed first, then the slab is stored in
+        slabs of ``slab_records`` records, so a stream of full slabs
+        lays out exactly as :meth:`write_batch` would.
+        """
+        self._flush_slab()
+        self.layout.check_columns(slab)
+        first = self.records_written
+        for a in range(0, slab.count, self.slab_records):
+            b = min(a + self.slab_records, slab.count)
+            self._slab_offsets.append(self._fh.tell())
+            self._slab_counts.append(b - a)
+            self._fh.write(_slab_bytes(slab.window(a, b, -1)))
+        self.records_written += slab.count
+        return first
 
     def close(self) -> None:
         """Flush the tail slab, write the footer, patch the header."""

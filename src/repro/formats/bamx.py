@@ -62,7 +62,7 @@ _FIXED_DTYPE = np.dtype([(name, "<" + code) for name, code
 
 #: Whether each BAM CIGAR op code consumes the reference; the invalid
 #: codes 9..15 count as non-consuming.
-_REF_CONSUMING_CODE = np.array(
+REF_CONSUMING_CODE = np.array(
     [op in REF_CONSUMING for op in "MIDNSHP=X"] + [False] * 7)
 
 
@@ -108,6 +108,33 @@ class BamxLayout:
         if batch_size > 0:
             return batch_size
         return max(1, (4 << 20) // max(self.record_size, 1))
+
+    @classmethod
+    def of_columns(cls, slabs: Iterable[ColumnSlab]) -> "BamxLayout":
+        """The tightest layout fitting every record of *slabs*: the
+        maxima of their field lengths."""
+        name_cap = cigar_cap = seq_cap = tag_cap = 0
+        for slab in slabs:
+            name, cigar, seq, tags = field_lengths(slab)
+            name_cap = max(name_cap, int(name.max(initial=0)))
+            cigar_cap = max(cigar_cap, int(cigar.max(initial=0)))
+            seq_cap = max(seq_cap, int(seq.max(initial=0)))
+            tag_cap = max(tag_cap, int(tags.max(initial=0)))
+        return cls(name_cap, cigar_cap, seq_cap, tag_cap)
+
+    def check_columns(self, slab: ColumnSlab) -> None:
+        """Raise :class:`CapacityError` if a record of *slab* does not
+        fit, as :meth:`encode_into` does for a record."""
+        for label, lengths, cap in zip(
+                ("read name bytes", "CIGAR ops", "sequence bases",
+                 "tag block bytes"), field_lengths(slab),
+                (self.name_cap, self.cigar_cap, self.seq_cap,
+                 self.tag_cap)):
+            over = lengths > cap
+            if over.any():
+                raise CapacityError(
+                    f"{int(lengths[over][0])} {label} exceed layout "
+                    f"capacity {cap}")
 
     def merge(self, other: "BamxLayout") -> "BamxLayout":
         """Smallest layout accommodating records of both layouts."""
@@ -269,7 +296,7 @@ def row_columns(buf, count: int, layout: BamxLayout,
     cigar_off = _FIXED.size + layout.name_cap
     words = rows[:, cigar_off:cigar_off + 4 * layout.cigar_cap].view("<u4")
     used = np.arange(layout.cigar_cap) < n_cigar[:, None]
-    span = np.where(used & _REF_CONSUMING_CODE[words & 0xF], words >> 4,
+    span = np.where(used & REF_CONSUMING_CODE[words & 0xF], words >> 4,
                     0).sum(axis=1, dtype=np.int64)
     pos = fixed["pos"]
     end_pos = np.where(pos < 0, -1, pos + np.maximum(span, 1))
@@ -282,6 +309,51 @@ def row_columns(buf, count: int, layout: BamxLayout,
         fixed["mapq"], name_lo, name_hi, cigar_lo, cigar_hi, seq_lo,
         seq_hi, qual_lo, qual_hi, tag_lo, tag_hi, name_blob, cigar_blob,
         seq_blob, qual_blob, tag_blob)
+
+
+def field_lengths(slab: ColumnSlab) -> tuple[np.ndarray, ...]:
+    """Per-record read-name bytes, CIGAR ops, sequence bases and tag
+    bytes of *slab*: the quantities a layout caps."""
+    return (slab.name_hi - slab.name_lo,
+            (slab.cigar_hi - slab.cigar_lo) // 4, slab.l_seq,
+            slab.tag_hi - slab.tag_lo)
+
+
+def column_rows(slab: ColumnSlab, layout: BamxLayout) -> np.ndarray:
+    """Scatter *slab* into ``(count, record_size)`` BAMX rows.
+
+    The inverse of :func:`row_columns`, byte for byte what
+    :meth:`BamxLayout.encode_into` writes for the same records.
+    """
+    from .bamc import packed_field
+    layout.check_columns(slab)
+    rows = np.zeros((slab.count, layout.record_size), dtype=np.uint8)
+    fixed = rows[:, :_FIXED.size].view(_FIXED_DTYPE)[:, 0]
+    name_len, n_cigar, l_seq, tag_len = field_lengths(slab)
+    if (tag_len > 0xFFFF).any():
+        # The record path's struct.pack of the u16 field fails here.
+        raise struct.error("tag block longer than 65535 bytes")
+    for name, column in (
+            ("ref_id", slab.ref_id), ("pos", slab.pos),
+            ("mapq", slab.mapq), ("name_len", name_len),
+            ("flag", slab.flag), ("n_cigar", n_cigar),
+            ("l_seq", l_seq), ("next_ref", slab.next_ref),
+            ("next_pos", slab.next_pos), ("tlen", slab.tlen),
+            ("tag_len", tag_len)):
+        fixed[name] = column
+    off = _FIXED.size
+    for cap, lo, hi, blob in (
+            (layout.name_cap, slab.name_lo, slab.name_hi, slab.name_blob),
+            (4 * layout.cigar_cap, slab.cigar_lo, slab.cigar_hi,
+             slab.cigar_blob),
+            ((layout.seq_cap + 1) // 2, slab.seq_lo, slab.seq_hi,
+             slab.seq_blob),
+            (layout.seq_cap, slab.qual_lo, slab.qual_hi, slab.qual_blob),
+            (layout.tag_cap, slab.tag_lo, slab.tag_hi, slab.tag_blob)):
+        used = np.arange(cap) < (hi - lo)[:, None]
+        rows[:, off:off + cap][used] = packed_field(lo, hi, blob)
+        off += cap
+    return rows
 
 
 class RowColumnReader:
@@ -347,7 +419,10 @@ class RowColumnReader:
 def plan_layout(records: Iterable[AlignmentRecord]) -> BamxLayout:
     """Scan records and compute the tightest layout that fits them all.
 
-    This is the first pass of the paper's preprocessing phase.
+    This is the record path's layout planning (the SAM preprocessing
+    and the reference writers); BAM preprocessing takes the same
+    capacities from its column maxima with
+    :meth:`BamxLayout.of_columns`.
     """
     name_cap = cigar_cap = seq_cap = tag_cap = 0
     for record in records:
@@ -409,6 +484,14 @@ class BamxWriter:
         self._fh.write(out)
         first = self.records_written
         self.records_written += len(records)
+        return first
+
+    def write_columns(self, slab: ColumnSlab) -> int:
+        """Append *slab*'s records as rows; return the first one's
+        index."""
+        self._fh.write(column_rows(slab, self.layout))
+        first = self.records_written
+        self.records_written += slab.count
         return first
 
     def write_all(self, records: Iterable[AlignmentRecord]) -> int:

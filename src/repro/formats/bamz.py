@@ -35,14 +35,18 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import BamxFormatError, IndexError_
-from .bamx import BamxLayout, RowColumnReader, plan_layout
+from .bamx import BamxLayout, RowColumnReader, column_rows, plan_layout
 from .bgzf import BgzfReader, BgzfWriter
 from .header import SamHeader
 from .record import AlignmentRecord
+
+if TYPE_CHECKING:
+    from .bamc import ColumnSlab
 
 MAGIC = b"BAMZ\x01"
 INDEX_MAGIC = b"BZI\x01"
@@ -87,12 +91,14 @@ class BamzWriter:
         self.records_written += 1
         return index
 
-    def write_batch(self, records: list[AlignmentRecord]) -> int:
-        """Append a batch record by record (each record needs its own
-        virtual offset); return the first record's index."""
+    def write_columns(self, slab: ColumnSlab) -> int:
+        """Append *slab*'s records as rows in one write, keeping each
+        record's virtual offset; return the first one's index."""
+        rows = column_rows(slab, self.layout)
+        marks = np.arange(slab.count) * self.layout.record_size
+        self._voffsets.extend(self._bgzf.write_marked(rows, marks).tolist())
         first = self.records_written
-        for record in records:
-            self.write(record)
+        self.records_written += slab.count
         return first
 
     def write_all(self, records: Iterable[AlignmentRecord]) -> int:

@@ -19,6 +19,8 @@ import os
 import struct
 import zlib
 
+import numpy as np
+
 from ..errors import BgzfError
 from ..runtime.tracing import get_tracer
 
@@ -137,6 +139,29 @@ class BgzfWriter(io.RawIOBase):
             del self._buffer[:MAX_BLOCK_DATA]
         return len(data)
 
+    def write_marked(self, data: bytes | np.ndarray,
+                     marks: np.ndarray) -> np.ndarray:
+        """Write *data*; return the virtual offset of each byte offset
+        in *marks* (ascending offsets into *data*).
+
+        The stream is cut into the same blocks as by :meth:`write`, and
+        each mark gets the offset :meth:`tell` would have returned just
+        before writing that byte, so a slab of records written at once
+        gets the per-record offsets of writing them one by one.
+        """
+        rel = np.asarray(marks, dtype=np.int64) + len(self._buffer)
+        starts = [self._coffset]
+        view = memoryview(data).cast("B")
+        pos = 0
+        while pos < len(view):
+            take = MAX_BLOCK_DATA - len(self._buffer)
+            self.write(view[pos:pos + take])
+            pos += take
+            starts.append(self._coffset)
+        block_starts = np.asarray(starts, dtype=np.int64)
+        return (block_starts[rel // MAX_BLOCK_DATA] << 16) \
+            | (rel % MAX_BLOCK_DATA)
+
     def _emit(self, payload: bytes) -> None:
         tracer = get_tracer()
         if tracer.enabled:
@@ -246,6 +271,21 @@ class BgzfReader(io.RawIOBase):
             self._within += take
             n -= take
         return bytes(out)
+
+    def read_block(self) -> bytes:
+        """Read the unread rest of the current block, loading the next
+        block first when this one is used up; ``b""`` at end of stream.
+
+        A truncated or corrupt block therefore raises only after every
+        byte before it has been returned.
+        """
+        while self._within >= len(self._block_data):
+            if self._eof:
+                return b""
+            self._load_next_block()
+        data = self._block_data[self._within:]
+        self._within = len(self._block_data)
+        return data
 
     def read_exactly(self, n: int) -> bytes:
         """Read exactly *n* bytes or raise :class:`BgzfError`."""

@@ -135,3 +135,24 @@ def test_all_codecs_agree(record):
     via_text = parse_alignment(format_alignment(record))
     via_bam = decode_record(encode_record(record, HDR)[4:], HDR)
     assert _norm(via_text) == via_bam
+
+
+@given(st.lists(records(), min_size=1, max_size=12), st.integers(1, 8))
+@settings(max_examples=25, deadline=None)
+def test_bam_preprocess_matches_record_path(batch, slab_records):
+    """Random records -> BAM -> preprocess_bam writes the same bytes as
+    the record path, for every store and slab size."""
+    import pathlib
+
+    from repro.formats.bam import write_bam
+    from tests.test_transpose import STORES, reference, transposed
+    with tempfile.TemporaryDirectory() as d:
+        bam = f"{d}/r.bam"
+        write_bam(bam, HDR, batch)
+        for kind in STORES:
+            pathlib.Path(f"{d}/ref").mkdir(exist_ok=True)
+            pathlib.Path(f"{d}/new").mkdir(exist_ok=True)
+            ref = reference(bam, f"{d}/ref/s.{kind}", kind, slab_records)
+            new = transposed(bam, f"{d}/new/s.{kind}", kind, slab_records)
+            for a, b in zip(ref, new):
+                assert open(a, "rb").read() == open(b, "rb").read(), b
