@@ -7,15 +7,17 @@ phases:
 
 1. **Sequential preprocessing** — stream the BAM once, transposing its
    records slab by slab into columns, then write the fixed-record BAMX
-   file (its capacities are the column maxima) and its BAIX index
-   (sorted starting positions -> record indices) from those columns.
+   file (its capacities are the column maxima) and its one BAIX index
+   (coordinate-sorted starts and ends -> record indices) from those
+   columns.
 2. **Parallel conversion** — the BAMX supports O(1) random access, so
    partitioning degenerates to handing each rank an equal count of
    records; from there the flow matches the SAM converter.
 
 The BAIX also enables *partial conversion*: a chromosome region is
 binary-searched to a contiguous BAIX subrange, which is split evenly
-across ranks (§III-B, Fig. 4).
+across ranks (§III-B, Fig. 4).  The same index answers overlap queries
+(records whose alignment span meets the region).
 
 For the Table I baseline, :func:`convert_bam_direct` converts straight
 from BAM without preprocessing (necessarily one rank).
@@ -33,14 +35,13 @@ import numpy as np
 from ..errors import ConversionError
 from ..formats.bam import BamReader
 from ..formats.baix import BaixIndex, default_index_path
-from ..formats.baix2 import BaixOverlapIndex
-from ..formats.baix2 import default_index_path as baix2_path
 from ..formats.bamc import BamcWriter
 from ..formats.bamx import BamxLayout, BamxWriter
 from ..formats.bamz import BamzWriter
 from ..formats.bamz import index_path_for as bzi_path
 from ..formats.batch import DEFAULT_BATCH_SIZE, PIPELINES
-from ..formats.store import open_record_store
+from ..formats.store import check_store_format, open_record_store, \
+    store_extension
 from ..formats.header import SamHeader
 from ..formats.transpose import transpose_bam
 from ..runtime.autotune import AUTO, AutoTuner
@@ -60,11 +61,11 @@ from .targets import get_target
 def preprocess_bam(bam_path: str | os.PathLike[str],
                    bamx_path: str | os.PathLike[str],
                    baix_path: str | os.PathLike[str] | None = None,
-                   compress: bool = False, level: int = 6,
+                   compress: bool = False,
                    batch_size: int = DEFAULT_BATCH_SIZE,
                    store_format: str = "bamx",
                    ) -> RankMetrics:
-    """Sequential preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX/BAIX2.
+    """Sequential preprocessing: BAM -> BAMX/BAMZ/BAMC + BAIX.
 
     One streaming pass inflates the BAM and transposes it, *batch_size*
     records at a time, into column slabs
@@ -72,7 +73,7 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     forbids anything but sequential decoding, which is why this phase
     cannot be parallelized (§III-B).  The store layout's capacities are
     the column maxima, the same slabs are written to the record store,
-    and both indexes come from one sort of the placed records.  With
+    and the one BAIX index comes from one sort of the placed records.  With
     ``compress=True`` the record store is written as BGZF-compressed
     BAMZ (the paper's future-work extension) instead of raw BAMX; with
     ``store_format="bamc"`` it is written as the slab-columnar BAMC,
@@ -84,15 +85,7 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     and renamed into place once all are complete, so a failed run
     leaves none behind.  Returns the phase metrics.
     """
-    from ..formats.store import STORE_FORMATS
-    if store_format not in STORE_FORMATS:
-        raise ConversionError(
-            f"unknown store format {store_format!r}; choose one of "
-            f"{STORE_FORMATS}")
-    if store_format == "bamc" and compress:
-        raise ConversionError(
-            "BAMC does not support BGZF compression; use "
-            "store_format='bamx' with compress=True for BAMZ")
+    check_store_format(store_format, compress, ConversionError)
     t0 = time.perf_counter()
     metrics = RankMetrics()
     bam_path = os.fspath(bam_path)
@@ -101,9 +94,7 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     suffix = f".tmp{os.getpid()}"
     store_tmp = bamx_path + suffix
     baix_tmp = baix_path + suffix
-    baix2_tmp = baix2_path(bamx_path) + suffix
-    renames = [(store_tmp, bamx_path), (baix_tmp, baix_path),
-               (baix2_tmp, baix2_path(bamx_path))]
+    renames = [(store_tmp, bamx_path), (baix_tmp, baix_path)]
     if compress:
         renames.append((bzi_path(store_tmp), bzi_path(bamx_path)))
     tracer = get_tracer()
@@ -126,7 +117,7 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
                 writer = BamcWriter(store_tmp, header, layout,
                                     slab_records=batch_size)
             elif compress:
-                writer = BamzWriter(store_tmp, header, layout, level=level)
+                writer = BamzWriter(store_tmp, header, layout)
             else:
                 writer = BamxWriter(store_tmp, header, layout)
             with tracer.span("write", "bam", args={"records": count}), \
@@ -134,12 +125,10 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
                 for slab in slabs:
                     writer.write_columns(slab)
             with tracer.span("index", "bam") as span:
-                overlap = BaixOverlapIndex.from_columns(*_placed(slabs))
-                overlap.save(baix2_tmp)
-                BaixIndex(overlap.ref_ids, overlap.starts,
-                          overlap.indices).save(baix_tmp)
+                index = BaixIndex.from_columns(*_placed(slabs))
+                index.save(baix_tmp)
                 if span is not None:
-                    span.args.update(entries=len(overlap))
+                    span.args.update(entries=len(index))
             renaming = True
             for tmp, final in renames:
                 os.replace(tmp, final)
@@ -447,15 +436,11 @@ class BamConverter:
                  shards_per_rank: int | str = 1,
                  store_format: str = "bamx",
                  tuner: AutoTuner | None = None) -> None:
-        from ..formats.store import STORE_FORMATS
         if pipeline not in PIPELINES:
             raise ConversionError(
                 f"unknown pipeline {pipeline!r}; choose one of "
                 f"{PIPELINES}")
-        if store_format not in STORE_FORMATS:
-            raise ConversionError(
-                f"unknown store format {store_format!r}; choose one of "
-                f"{STORE_FORMATS}")
+        check_store_format(store_format, error=ConversionError)
         self.batch_size = validate_knob(batch_size, "batch_size")
         self.pipeline = pipeline
         self.shards_per_rank = validate_knob(shards_per_rank,
@@ -479,7 +464,6 @@ class BamConverter:
         BGZF-compressed BAMZ when ``compress=True``, or columnar BAMC
         when the converter was built with ``store_format="bamc"``.
         """
-        from ..formats.store import store_extension
         work_dir = os.fspath(work_dir)
         os.makedirs(work_dir, exist_ok=True)
         stem = os.path.splitext(os.path.basename(os.fspath(bam_path)))[0]
@@ -576,12 +560,13 @@ class BamConverter:
 
         ``mode="start"`` (the paper's semantics) selects records whose
         *starting position* lies inside the region, via binary search
-        over the v1 BAIX.  ``mode="overlap"`` selects records whose
-        alignment span overlaps the region, via the v2 overlap index
-        (the future-work extension); *baix_path* then names the
-        ``.baix2`` file.  Either way the selected record indices are
-        split evenly across ranks for random-access conversion
-        (§III-B).  *record_filter* further restricts by flags/MAPQ.
+        over the BAIX.  ``mode="overlap"`` selects records whose
+        alignment span overlaps the region (the future-work extension)
+        through the same index; a v1 index answers start queries only.
+        *baix_path* defaults to ``<store>.baix``.  Either way the
+        selected record indices are split evenly across ranks for
+        random-access conversion (§III-B).  *record_filter* further
+        restricts by flags/MAPQ.
         """
         return self._convert_picks(
             "convert.region", ".region", bamx_path, baix_path, [region],
@@ -640,24 +625,13 @@ class BamConverter:
                 header = reader.header
             parsed = [GenomicRegion.parse(r, header)
                       if isinstance(r, str) else r for r in regions]
-            index_lists = []
             with tracer.span("locate", "bam", args={"mode": mode}):
-                if mode == "start":
-                    if baix_path is None:
-                        baix_path = default_index_path(bamx_path)
-                    index = BaixIndex.load(baix_path)
-                    for region in parsed:
-                        lo, hi = index.locate(header.ref_id(region.chrom),
-                                              region.start, region.end)
-                        index_lists.append(index.record_indices(lo, hi))
-                else:
-                    if baix_path is None:
-                        baix_path = baix2_path(bamx_path)
-                    index2 = BaixOverlapIndex.load(baix_path)
-                    for region in parsed:
-                        index_lists.append(index2.locate_overlaps(
-                            header.ref_id(region.chrom), region.start,
-                            region.end))
+                index = BaixIndex.load(
+                    baix_path or default_index_path(bamx_path))
+                index_lists = [
+                    index.select(header.ref_id(region.chrom), region.start,
+                                 region.end, mode)
+                    for region in parsed]
             indices = list(dict.fromkeys(
                 i for index_list in index_lists
                 for i in index_list.tolist()))

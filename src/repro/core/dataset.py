@@ -6,7 +6,7 @@ downstream user reaches for first::
 
     ds = AlignmentDataset.open("sample.bam")
     ds = ds.sorted("sorted.bam")           # external merge sort
-    store = ds.preprocess("work/")         # BAMX/BAIX (+BAIX2)
+    store = ds.preprocess("work/")         # BAMX + BAIX
     store.convert("bed", "out/", nprocs=8)
     store.convert_region("chr1:1-50000", "sam", "out/", nprocs=4)
     print(ds.flagstat().format_report())
@@ -193,9 +193,8 @@ class RecordStoreHandle:
                        ) -> ConversionResult:
         """Partial conversion of one region."""
         from .bam_converter import BamConverter
-        baix = self.baix_path if mode == "start" else None
         return BamConverter().convert_region(
-            self.store_path, baix, region, target, out_dir, nprocs,
+            self.store_path, self.baix_path, region, target, out_dir, nprocs,
             executor, mode=mode, record_filter=record_filter)
 
     def fetch(self, region: GenomicRegion | str, mode: str = "start",
@@ -203,23 +202,13 @@ class RecordStoreHandle:
         """Records of one region, in coordinate order."""
         from ..formats.baix import BaixIndex
         from ..formats.store import open_record_store
+        if mode not in ("start", "overlap"):
+            raise ConversionError(f"unknown fetch mode {mode!r}")
         with open_record_store(self.store_path) as reader:
             header = reader.header
             if isinstance(region, str):
                 region = GenomicRegion.parse(region, header)
-            ref_id = header.ref_id(region.chrom)
-            if mode == "start":
-                index = BaixIndex.load(self.baix_path)
-                lo, hi = index.locate(ref_id, region.start, region.end)
-                indices = index.record_indices(lo, hi)
-            elif mode == "overlap":
-                from ..formats.baix2 import BaixOverlapIndex
-                from ..formats.baix2 import default_index_path
-                index2 = BaixOverlapIndex.load(
-                    default_index_path(self.store_path))
-                indices = index2.locate_overlaps(ref_id, region.start,
-                                                 region.end)
-            else:
-                raise ConversionError(
-                    f"unknown fetch mode {mode!r}")
+            indices = BaixIndex.load(self.baix_path).select(
+                header.ref_id(region.chrom), region.start, region.end,
+                mode)
             return [reader[int(i)] for i in indices]

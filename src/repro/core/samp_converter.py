@@ -23,6 +23,7 @@ from ..formats.baix import BaixIndex, default_index_path
 from ..formats.bamx import BamxWriter, plan_layout
 from ..formats.batch import DEFAULT_BATCH_SIZE, parse_sam_lines
 from ..formats.header import SamHeader
+from ..formats.store import check_store_format, store_extension
 from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import RangeLineReader
 from ..runtime.metrics import RankMetrics
@@ -120,23 +121,17 @@ def _write_rank_store(spec: PreprocessSpec, records: list,
         writer_ctx = BamxWriter(spec.bamx_path, header, layout)
     with tracer.span("write", "samp", args={"records": len(records)}), \
             writer_ctx as writer:
-        index_entries = []
         with tracer.span("batch.encode", "samp",
                          args={"batch_size": spec.batch_size}):
             for off in range(0, len(records), spec.batch_size):
-                chunk = records[off:off + spec.batch_size]
-                first = writer.write_batch(chunk)
-                for j, record in enumerate(chunk):
-                    if record.rname != "*" and record.pos >= 0:
-                        index_entries.append((first + j, record))
+                writer.write_batch(records[off:off + spec.batch_size])
     baix_path = default_index_path(spec.bamx_path)
-    with tracer.span("index", "samp",
-                     args={"entries": len(index_entries)}):
-        BaixIndex.build(index_entries, header).save(baix_path)
-        from ..formats.baix2 import BaixOverlapIndex
-        from ..formats.baix2 import default_index_path as baix2_path
-        BaixOverlapIndex.build(index_entries, header).save(
-            baix2_path(spec.bamx_path))
+    with tracer.span("index", "samp") as span:
+        # Record i of the rank landed at store index i.
+        index = BaixIndex.build(enumerate(records), header)
+        index.save(baix_path)
+        if span is not None:
+            span.args.update(entries=len(index))
     metrics.bytes_written += (os.path.getsize(spec.bamx_path)
                               + os.path.getsize(baix_path))
 
@@ -173,11 +168,7 @@ class PreprocSamConverter:
                  shards_per_rank: int | str = 1,
                  store_format: str = "bamx",
                  tuner: AutoTuner | None = None) -> None:
-        from ..formats.store import STORE_FORMATS
-        if store_format not in STORE_FORMATS:
-            raise ConversionError(
-                f"unknown store format {store_format!r}; choose one of "
-                f"{STORE_FORMATS}")
+        check_store_format(store_format, error=ConversionError)
         self.read_chunk = read_chunk
         self.batch_size = validate_knob(batch_size, "batch_size")
         self.pipeline = pipeline
@@ -209,7 +200,7 @@ class PreprocSamConverter:
                 partitions = partition_alignments(sam_path, nprocs,
                                                   header_end)
             stem = os.path.splitext(os.path.basename(sam_path))[0]
-            ext = ".bamc" if self.store_format == "bamc" else ".bamx"
+            ext = store_extension(False, self.store_format)
             shards, batch_size, tuning = resolve_tuning(
                 self.tuner, target="preprocess",
                 store_format=self.store_format, pipeline="parse",

@@ -45,17 +45,23 @@ def open_record_store(path: str | os.PathLike[str]) -> RecordStore:
         "not a BAMX, BAMC or BAMZ file", source=os.fspath(path))
 
 
+def check_store_format(store_format: str, compress: bool = False,
+                       error: type[Exception] = BamxFormatError) -> None:
+    """Raise *error* unless *store_format* is writable with *compress*."""
+    if store_format not in STORE_FORMATS:
+        raise error(
+            f"unknown store format {store_format!r}; choose one of "
+            f"{STORE_FORMATS}")
+    if store_format == "bamc" and compress:
+        raise error(
+            "BAMC does not support BGZF compression; use "
+            "store_format='bamx' with compress=True for BAMZ")
+
+
 def store_extension(compress: bool,
                     store_format: str = "bamx") -> str:
     """Canonical extension for a record store."""
-    if store_format not in STORE_FORMATS:
-        raise BamxFormatError(
-            f"unknown store format {store_format!r}; choose one of "
-            f"{STORE_FORMATS}")
+    check_store_format(store_format, compress)
     if store_format == "bamc":
-        if compress:
-            raise BamxFormatError(
-                "BAMC does not support BGZF compression; use "
-                "store_format='bamx' with compress=True for BAMZ")
         return ".bamc"
     return ".bamz" if compress else ".bamx"

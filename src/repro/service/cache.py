@@ -12,8 +12,8 @@ file is called, while any content or parameter change misses cleanly.
 Layout on disk::
 
     <cache_dir>/<key>/          one entry per key
-        <stem>.bamx             whatever the builder writes
-        <stem>.bamx.baix
+        <stem>.bamx             whatever the builder writes: the
+        <stem>.bamx.baix        record store and its one BAIX index
         meta.json               key, input, params, per-file digests
     <cache_dir>/quarantine/     entries that failed integrity checks
 

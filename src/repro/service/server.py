@@ -335,11 +335,6 @@ class ConversionService:
             source, compress=bool(params.get("compress", False)),
             store_format=params.get("store_format", "bamx"))
         store_path = self._entry_store(entry)
-        mode = params.get("mode", "start")
-        if mode == "overlap":
-            from ..formats.baix2 import default_index_path as baix2_path
-            return store_path, baix2_path(store_path), \
-                "hit" if hit else "miss"
         return store_path, default_index_path(store_path), \
             "hit" if hit else "miss"
 
@@ -348,10 +343,11 @@ class ConversionService:
                       ) -> tuple[CacheEntry, bool]:
         """Fetch-or-build the preprocessing artifacts for a BAM."""
         from ..core.bam_converter import preprocess_bam
-        params = {"op": "preprocess_bam", "compress": compress}
+        # "index" names the one BAIX v2 index an entry holds, so entries
+        # built when a v1 .baix sat beside a .baix2 miss and rebuild.
+        params = {"op": "preprocess_bam", "compress": compress,
+                  "index": "baix-v2"}
         if store_format != "bamx":
-            # Appended only for non-default formats so cache entries
-            # built before BAMC existed keep their keys.
             params["store_format"] = store_format
         stem = os.path.splitext(os.path.basename(bam_path))[0]
 

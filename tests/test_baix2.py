@@ -1,149 +1,35 @@
-"""Tests for the BAIX v2 overlap index."""
+"""Tests for ``.baix2`` files: the overlap index files written before
+the one-index change, whose layout the current ``.baix`` v2 shares."""
+
+import struct
 
 import numpy as np
-import pytest
 
-from repro.errors import IndexError_
-from repro.formats.baix2 import BaixOverlapIndex, default_index_path
-from repro.formats.header import SamHeader
-from repro.formats.record import AlignmentRecord
-
-HDR = SamHeader.from_references([("chr1", 100_000), ("chr2", 50_000)])
+from repro.formats.baix import MAGIC, BaixIndex
 
 
-def rec(pos, span, chrom="chr1"):
-    return AlignmentRecord("r", 0, chrom, pos, 60, [(span, "M")], "*",
-                           -1, 0, "A" * span, "I" * span)
+def write_baix2(path, idx):
+    """*idx* in the ``.baix2`` layout: magic, count, then the ref id,
+    start, end and record index columns."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<Q", len(idx)))
+        fh.write(idx.ref_ids.astype("<i4").tobytes())
+        fh.write(idx.positions.astype("<i4").tobytes())
+        fh.write(idx.ends.astype("<i4").tobytes())
+        fh.write(idx.indices.astype("<i8").tobytes())
 
 
-@pytest.fixture(scope="module")
-def index(workload):
+def test_save_load_roundtrip(workload, tmp_path):
     _, header, records = workload
-    return BaixOverlapIndex.build(enumerate(records), header), header, \
-        records
-
-
-def brute_force(records, header, chrom, start, end):
-    return sorted(
-        i for i, r in enumerate(records)
-        if r.rname == chrom and r.is_mapped and r.pos < end
-        and r.end > start)
-
-
-def test_overlap_matches_brute_force(index):
-    idx, header, records = index
-    for chrom, start, end in [("chr1", 0, 60_000), ("chr1", 5_000, 5_050),
-                              ("chr1", 10_000, 20_000),
-                              ("chr2", 0, 40_000), ("chr2", 100, 101)]:
-        got = sorted(idx.locate_overlaps(header.ref_id(chrom), start,
-                                         end).tolist())
-        assert got == brute_force(records, header, chrom, start, end), \
-            (chrom, start, end)
-
-
-def test_overlap_superset_of_start_query(index):
-    idx, header, records = index
-    ref_id = header.ref_id("chr1")
-    lo, hi = idx.locate_starts(ref_id, 10_000, 20_000)
-    start_hits = set(idx.indices[lo:hi].tolist())
-    overlap_hits = set(idx.locate_overlaps(ref_id, 10_000,
-                                           20_000).tolist())
-    assert start_hits <= overlap_hits
-
-
-def test_spanning_record_found():
-    """A long record starting before the query region is still found."""
-    records = [rec(100, 500), rec(2_000, 50)]
-    idx = BaixOverlapIndex.build(enumerate(records), HDR)
-    hits = idx.locate_overlaps(0, 300, 350)
-    assert hits.tolist() == [0]
-    # And a start-within query misses it, by design.
-    lo, hi = idx.locate_starts(0, 300, 350)
-    assert hi - lo == 0
-
-
-def test_empty_region_and_empty_reference():
-    records = [rec(10, 5)]
-    idx = BaixOverlapIndex.build(enumerate(records), HDR)
-    assert idx.locate_overlaps(0, 50, 50).tolist() == []
-    assert idx.locate_overlaps(1, 0, 50_000).tolist() == []  # chr2 empty
-
-
-def test_adjacent_intervals_do_not_overlap():
-    records = [rec(10, 5)]  # covers [10, 15)
-    idx = BaixOverlapIndex.build(enumerate(records), HDR)
-    assert idx.locate_overlaps(0, 15, 20).tolist() == []
-    assert idx.locate_overlaps(0, 5, 10).tolist() == []
-    assert idx.locate_overlaps(0, 14, 15).tolist() == [0]
-
-
-def test_save_load_roundtrip(index, tmp_path):
-    idx, _, _ = index
-    path = tmp_path / "t.baix2"
-    idx.save(path)
-    loaded = BaixOverlapIndex.load(path)
-    assert np.array_equal(loaded.starts, idx.starts)
+    idx = BaixIndex.build(enumerate(records), header)
+    legacy, current = tmp_path / "t.baix2", tmp_path / "t.baix"
+    write_baix2(legacy, idx)
+    loaded = BaixIndex.load(legacy)
+    assert np.array_equal(loaded.ref_ids, idx.ref_ids)
+    assert np.array_equal(loaded.positions, idx.positions)
     assert np.array_equal(loaded.ends, idx.ends)
     assert np.array_equal(loaded.indices, idx.indices)
     got = loaded.locate_overlaps(0, 1_000, 2_000)
     assert np.array_equal(got, idx.locate_overlaps(0, 1_000, 2_000))
-
-
-def test_load_rejects_v1_magic(tmp_path, index):
-    from repro.formats.baix import BaixIndex
-    idx, header, records = index
-    v1 = BaixIndex.build(enumerate(records), header)
-    path = tmp_path / "t.baix"
-    v1.save(path)
-    with pytest.raises(IndexError_):
-        BaixOverlapIndex.load(path)
-
-
-def test_invalid_construction():
-    with pytest.raises(IndexError_):
-        BaixOverlapIndex(np.array([0]), np.array([10]), np.array([5]),
-                         np.array([0]))  # end < start
-    with pytest.raises(IndexError_):
-        BaixOverlapIndex(np.array([0, 0]), np.array([10, 5]),
-                         np.array([20, 9]), np.array([0, 1]))  # unsorted
-
-
-def test_invalid_region(index):
-    idx, _, _ = index
-    with pytest.raises(IndexError_):
-        idx.locate_overlaps(0, -1, 10)
-    with pytest.raises(IndexError_):
-        idx.locate_overlaps(0, 10, 5)
-
-
-def test_default_index_path():
-    assert default_index_path("x.bamx") == "x.bamx.baix2"
-
-
-def test_preprocessing_writes_v2(bam_file, tmp_path):
-    from repro.core import BamConverter
-    bamx, _, _ = BamConverter().preprocess(bam_file, tmp_path / "w")
-    import os
-    assert os.path.exists(default_index_path(bamx))
-
-
-def test_overlap_mode_partial_conversion(bam_file, workload, tmp_path):
-    from repro.core import BamConverter
-    _, header, records = workload
-    converter = BamConverter()
-    bamx, _, _ = converter.preprocess(bam_file, tmp_path / "w")
-    result = converter.convert_region(bamx, None, "chr1:5001-5100",
-                                      "sam", tmp_path / "o", nprocs=2,
-                                      mode="overlap")
-    expected = brute_force(records, header, "chr1", 5_000, 5_100)
-    assert result.records == len(expected)
-
-
-def test_unknown_mode_rejected(bam_file, tmp_path):
-    from repro.core import BamConverter
-    from repro.errors import ConversionError
-    converter = BamConverter()
-    bamx, baix, _ = converter.preprocess(bam_file, tmp_path / "w")
-    with pytest.raises(ConversionError):
-        converter.convert_region(bamx, baix, "chr1:1-100", "sam",
-                                 tmp_path / "o", mode="nearest")
+    loaded.save(current)
+    assert current.read_bytes() == legacy.read_bytes()

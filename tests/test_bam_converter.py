@@ -52,8 +52,10 @@ def test_preprocess_builds_sorted_index(preprocessed, workload):
 def test_preprocess_metrics_account_for_one_pass(preprocessed, bam_file):
     bamx, baix, metrics = preprocessed
     assert metrics.bytes_read == os.path.getsize(bam_file)
+    assert sorted(os.listdir(os.path.dirname(bamx))) == sorted(
+        os.path.basename(p) for p in (bamx, baix))
     assert metrics.bytes_written == sum(
-        os.path.getsize(p) for p in (bamx, baix, bamx + ".baix2"))
+        os.path.getsize(p) for p in (bamx, baix))
 
 
 @pytest.mark.parametrize("target", ["bed", "bedgraph", "fasta", "sam"])

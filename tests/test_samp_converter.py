@@ -30,6 +30,25 @@ def test_one_bamx_per_preprocessing_rank(preprocessed):
     assert all(os.path.exists(p + ".baix") for p in paths)
 
 
+@pytest.mark.parametrize("store_format", ["bamx", "bamc"])
+@pytest.mark.parametrize("shards", [1, 2])
+def test_rank_bytes_written_match_files_left(sam_file, tmp_path,
+                                             store_format, shards):
+    """Each rank reports as written exactly the files it left: its
+    store and one index."""
+    work = tmp_path / "w"
+    paths, metrics = PreprocSamConverter(
+        store_format=store_format, shards_per_rank=shards).preprocess(
+        sam_file, work, nprocs=3)
+    for path, rank in zip(paths, metrics):
+        left = [work / name for name in os.listdir(work)
+                if name.startswith(os.path.basename(path))]
+        assert rank.bytes_written == sum(os.path.getsize(p) for p in left)
+    assert sorted(os.listdir(work)) == sorted(
+        os.path.basename(path) + ext for path in paths
+        for ext in ("", ".baix"))
+
+
 def test_preprocessing_preserves_all_records(preprocessed, workload):
     paths, _ = preprocessed
     _, _, records = workload

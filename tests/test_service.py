@@ -398,6 +398,50 @@ def test_region_matches_batch_cli(service, bam_file, tmp_path):
     assert part_bytes(cli_out) == part_bytes(tmp_path / "svc-region")
 
 
+def test_overlap_region_job_uses_one_index(service, bam_file, tmp_path):
+    from repro.core import BamConverter
+    job = service.submit("region", {
+        "input": bam_file, "region": "chr1:1-30000", "target": "bed",
+        "mode": "overlap", "out_dir": str(tmp_path / "svc"), "nprocs": 2})
+    snap = service.wait(job.job_id, timeout=60)
+    assert snap["state"] == "done", snap["error"]
+    warm = service.wait(service.submit(
+        "preprocess", {"input": bam_file}).job_id, timeout=60)
+    assert warm["result"]["cache"] == "hit"
+    artifacts = warm["result"]["artifacts"]
+    (store,) = [p for p in artifacts if p.endswith(".bamx")]
+    assert [p for p in artifacts if ".baix" in p] == [store + ".baix"]
+    ref_store, _, _ = BamConverter().preprocess(bam_file, tmp_path / "w")
+    BamConverter(pipeline="record").convert_region(
+        ref_store, None, "chr1:1-30000", "bed", tmp_path / "ref",
+        nprocs=2, mode="overlap")
+    assert part_bytes(tmp_path / "svc") == part_bytes(tmp_path / "ref")
+
+
+def test_entry_cached_before_one_index_misses(service, bam_file,
+                                              tmp_path):
+    """An entry cached with the old preprocess params (a v1 ``.baix``
+    beside a ``.baix2``) is never served; the job rebuilds it."""
+    from repro.core.bam_converter import preprocess_bam
+
+    def legacy(entry_dir: str) -> None:
+        store = os.path.join(entry_dir, "sample.bamx")
+        preprocess_bam(bam_file, store)
+        os.replace(store + ".baix", store + ".baix2")
+        with open(store + ".baix", "wb") as fh:
+            fh.write(b"BAIX\x01" + bytes(8))  # an empty v1 index
+
+    service.cache.get_or_build(
+        bam_file, {"op": "preprocess_bam", "compress": False}, legacy)
+    job = service.submit("region", {
+        "input": bam_file, "region": "chr1:1-30000", "target": "bed",
+        "mode": "overlap", "out_dir": str(tmp_path / "o")})
+    snap = service.wait(job.job_id, timeout=60)
+    assert snap["state"] == "done", snap["error"]
+    assert snap["result"]["cache"] == "miss"
+    assert snap["result"]["records"] > 0
+
+
 def test_concurrent_submitters_byte_identical(service, bam_file,
                                               tmp_path):
     """Many threads submitting the same work must share one

@@ -2,8 +2,8 @@
 
 ``preprocess_bam`` transposes raw BAM records into columns without
 decoding them.  The reference is the record path: ``read_bam`` records
-written through the record writers and ``BaixIndex.build`` /
-``BaixOverlapIndex.build``.  Every store, index and ``.bzi`` file must
+written through the record writers and ``BaixIndex.build``.  Every
+store, index and ``.bzi`` file must
 match the reference byte for byte, and every input the reference
 rejects must raise the reference's exception class and leave no
 artifact behind.
@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.bam_converter import preprocess_bam
 from repro.formats.baix import BaixIndex
-from repro.formats.baix2 import BaixOverlapIndex
 from repro.formats.bam import read_bam, write_bam
 from repro.formats.bamc import BamcWriter
 from repro.formats.bamx import plan_layout, write_bamx
@@ -30,14 +29,13 @@ HDR = SamHeader.from_references([("chr1", 100_000), ("chr2", 50_000)])
 
 def _outputs(store_path: str, kind: str) -> list[str]:
     extra = [store_path + ".bzi"] if kind == "bamz" else []
-    return [store_path, store_path + ".baix", store_path + ".baix2"] \
-        + extra
+    return [store_path, store_path + ".baix"] + extra
 
 
 def reference(bam_path: str, store_path: str, kind: str,
               slab_records: int) -> list[str]:
     """The record path: decode every record, write it with the record
-    writers, build both indexes from the records."""
+    writers, build the index from the records."""
     header, records = read_bam(bam_path)
     if kind == "bamx":
         write_bamx(store_path, header, records)
@@ -49,8 +47,6 @@ def reference(bam_path: str, store_path: str, kind: str,
                         slab_records=slab_records) as w:
             w.write_all(records)
     BaixIndex.build(enumerate(records), header).save(store_path + ".baix")
-    BaixOverlapIndex.build(enumerate(records), header).save(
-        store_path + ".baix2")
     return _outputs(store_path, kind)
 
 
