@@ -25,12 +25,9 @@ from BAM without preprocessing (necessarily one rank).
 
 from __future__ import annotations
 
-import contextlib
 import os
 import time
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from ..errors import ConversionError
 from ..formats.bam import BamReader
@@ -52,7 +49,7 @@ from ..runtime.tracing import get_tracer
 from .base import ConversionResult, bind_target, emit_records, \
     ensure_tuner, execute_rank_tasks, finish_rank_metrics, \
     make_output_path, merge_shard_outputs, record_tuning, \
-    resolve_tuning, validate_knob
+    resolve_tuning, staged_outputs, validate_knob
 from .filters import ACCEPT_ALL, RecordFilter
 from .region import GenomicRegion
 from .targets import get_target
@@ -98,65 +95,41 @@ def preprocess_bam(bam_path: str | os.PathLike[str],
     if compress:
         renames.append((bzi_path(store_tmp), bzi_path(bamx_path)))
     tracer = get_tracer()
-    renaming = False
-    try:
-        with tracer.span("preprocess", "bam",
-                         args={"input": os.path.basename(bam_path),
-                               "compress": compress,
-                               "store_format": store_format}):
-            with tracer.span("transpose", "bam",
-                             args={"slab_records": batch_size}) as span, \
-                    BamReader(bam_path) as reader:
-                header = reader.header
-                slabs = list(transpose_bam(reader, batch_size))
-                count = sum(slab.count for slab in slabs)
-                if span is not None:
-                    span.args.update(records=count, slabs=len(slabs))
-            layout = BamxLayout.of_columns(slabs)
-            if store_format == "bamc":
-                writer = BamcWriter(store_tmp, header, layout,
-                                    slab_records=batch_size)
-            elif compress:
-                writer = BamzWriter(store_tmp, header, layout)
-            else:
-                writer = BamxWriter(store_tmp, header, layout)
-            with tracer.span("write", "bam", args={"records": count}), \
-                    writer:
-                for slab in slabs:
-                    writer.write_columns(slab)
-            with tracer.span("index", "bam") as span:
-                index = BaixIndex.from_columns(*_placed(slabs))
-                index.save(baix_tmp)
-                if span is not None:
-                    span.args.update(entries=len(index))
-            renaming = True
-            for tmp, final in renames:
-                os.replace(tmp, final)
-    except BaseException:
-        for tmp, final in renames:
-            for path in (tmp, final) if renaming else (tmp,):
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-        raise
+    with staged_outputs(renames), \
+            tracer.span("preprocess", "bam",
+                        args={"input": os.path.basename(bam_path),
+                              "compress": compress,
+                              "store_format": store_format}):
+        with tracer.span("transpose", "bam",
+                         args={"slab_records": batch_size}) as span, \
+                BamReader(bam_path) as reader:
+            header = reader.header
+            slabs = list(transpose_bam(reader, batch_size))
+            count = sum(slab.count for slab in slabs)
+            if span is not None:
+                span.args.update(records=count, slabs=len(slabs))
+        layout = BamxLayout.of_columns(slabs)
+        if store_format == "bamc":
+            writer = BamcWriter(store_tmp, header, layout,
+                                slab_records=batch_size)
+        elif compress:
+            writer = BamzWriter(store_tmp, header, layout)
+        else:
+            writer = BamxWriter(store_tmp, header, layout)
+        with tracer.span("write", "bam", args={"records": count}), \
+                writer:
+            for slab in slabs:
+                writer.write_columns(slab)
+        with tracer.span("index", "bam") as span:
+            index = BaixIndex.from_slabs(slabs)
+            index.save(baix_tmp)
+            if span is not None:
+                span.args.update(entries=len(index))
     metrics.records = count
     metrics.bytes_read = os.path.getsize(bam_path)
     metrics.bytes_written = sum(os.path.getsize(final)
                                 for _, final in renames)
     return finish_rank_metrics(metrics, t0)
-
-
-def _placed(slabs) -> tuple[np.ndarray, ...]:
-    """``(ref_ids, starts, ends, record indices)`` of the records of
-    *slabs* that have a reference and a position."""
-    columns = []
-    for slab in slabs:
-        placed = (slab.ref_id >= 0) & (slab.pos >= 0)
-        columns.append((slab.ref_id[placed], slab.pos[placed],
-                        slab.end_pos[placed],
-                        slab.start + np.flatnonzero(placed)))
-    if not columns:
-        return (np.empty(0, np.int32),) * 3 + (np.empty(0, np.int64),)
-    return tuple(np.concatenate(parts) for parts in zip(*columns))
 
 
 @dataclass(frozen=True, slots=True)

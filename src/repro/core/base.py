@@ -16,10 +16,11 @@ common machinery:
 
 from __future__ import annotations
 
+import contextlib
 import os
 import shutil
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -531,6 +532,29 @@ def finish_rank_metrics(metrics: RankMetrics, t_start: float) -> RankMetrics:
     wall = time.perf_counter() - t_start
     metrics.compute_seconds = max(0.0, wall - metrics.io_seconds)
     return metrics
+
+
+@contextlib.contextmanager
+def staged_outputs(renames: Sequence[tuple[str, str]]) -> Iterator[None]:
+    """Commit ``(temporary, final)`` file pairs together.
+
+    The body writes every temporary file; then each is renamed over its
+    final path.  If the body or a rename fails, the temporary files —
+    and, once renaming has begun, the final ones — are removed, so a
+    failed run leaves none of the set behind.
+    """
+    renaming = False
+    try:
+        yield
+        renaming = True
+        for tmp, final in renames:
+            os.replace(tmp, final)
+    except BaseException:
+        for tmp, final in renames:
+            for path in (tmp, final) if renaming else (tmp,):
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+        raise
 
 
 def make_output_path(out_dir: str, stem: str, rank: int,

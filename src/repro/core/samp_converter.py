@@ -3,9 +3,17 @@
 Combines the two earlier strategies: because SAM *can* be partitioned
 with Algorithm 1, the BAMX-producing preprocessing phase runs in
 parallel — each of M preprocessing ranks converts its SAM partition into
-its own BAMX file (plus BAIX index).  The subsequent conversion phase is
-the BAM converter's parallel phase run over one BAMX file at a time
-with N ranks, yielding M x N target part files in total.
+its own BAMX (or BAMC) file plus BAIX index.  The subsequent conversion
+phase is the BAM converter's parallel phase run over one store at a
+time with N ranks, yielding M x N target part files in total.
+
+Each rank transposes its SAM text straight into column slabs
+(:mod:`repro.formats.sam_transpose`), takes the store capacities from
+the column maxima and writes the store and index from the same slabs,
+building no :class:`~repro.formats.record.AlignmentRecord` except for
+the lines the column parser flags.  The output is byte-identical to
+parsing every line and writing it through the record writers, and a
+bad input raises what that path raises.
 
 Benefits (per the paper): the preprocessing cost is itself parallelized;
 conversion reads compact, perfectly aligned binary records instead of
@@ -20,9 +28,11 @@ from dataclasses import dataclass, replace
 
 from ..errors import ConversionError
 from ..formats.baix import BaixIndex, default_index_path
-from ..formats.bamx import BamxWriter, plan_layout
-from ..formats.batch import DEFAULT_BATCH_SIZE, parse_sam_lines
+from ..formats.bamc import BamcWriter, ColumnSlab, concat_slabs
+from ..formats.bamx import BamxLayout, BamxWriter
+from ..formats.batch import DEFAULT_BATCH_SIZE
 from ..formats.header import SamHeader
+from ..formats.sam_transpose import SamTransposer, raise_failure
 from ..formats.store import check_store_format, store_extension
 from ..runtime.autotune import AutoTuner
 from ..runtime.buffers import RangeLineReader
@@ -30,14 +40,15 @@ from ..runtime.metrics import RankMetrics
 from ..runtime.partition import partition_bytes_source
 from ..runtime.tracing import get_tracer
 from .base import ConversionResult, ensure_tuner, execute_rank_tasks, \
-    finish_rank_metrics, record_tuning, resolve_tuning, validate_knob
+    finish_rank_metrics, record_tuning, resolve_tuning, staged_outputs, \
+    validate_knob
 from .bam_converter import BamConverter
 from .sam_converter import partition_alignments, scan_header
 
 
 @dataclass(frozen=True, slots=True)
 class PreprocessSpec:
-    """One preprocessing rank: SAM byte range -> one BAMX/BAIX pair."""
+    """One preprocessing rank: SAM byte range -> one store/BAIX pair."""
 
     sam_path: str
     start: int
@@ -56,12 +67,12 @@ class PreprocessSpec:
     def split(self, n: int) -> "list[PreprocessSpec]":
         """Over-decompose this rank's byte range into <= *n* shards.
 
-        The BAMX layout is planned over *all* of the rank's records, so
-        shards cannot write independent store fragments; they run the
-        parse phase only (returning their record lists) and
-        :meth:`merge_shards` concatenates the records in shard order
-        before running the layout/write/index phase exactly as the
-        unsharded task would — byte-identical BAMX/BAIX output.
+        The store's capacities are the maxima over *all* of the rank's
+        records, so shards cannot write independent store fragments;
+        they run the transpose only (returning their column slab) and
+        :meth:`merge_shards` concatenates the slabs in shard order
+        before writing and indexing exactly as the unsharded task
+        would — byte-identical store/BAIX output.
         """
         if n <= 1 or self.end - self.start <= 1:
             return [self]
@@ -82,81 +93,107 @@ class PreprocessSpec:
 
     def merge_shards(self, shard_specs: "list[PreprocessSpec]",
                      shard_results: list[tuple]) -> RankMetrics:
-        """Reduce parse-only shard results to one BAMX/BAIX pair."""
+        """Reduce transpose-only shard results to one store/BAIX pair."""
         parse_metrics = RankMetrics.merge_shards(
             [metrics for metrics, _ in shard_results])
-        records = [record for _, shard_records in shard_results
-                   for record in shard_records]
+        slabs, failures = [], []
+        for _, (slab, shard_failures) in shard_results:
+            offset = sum(s.count for s in slabs) + len(failures)
+            slabs.append(slab)
+            failures += [(offset + index, record)
+                         for index, record in shard_failures]
         t0 = time.perf_counter()
         write_metrics = RankMetrics()
-        _write_rank_store(self, records, write_metrics)
+        _write_rank_store(self, concat_slabs(slabs), failures,
+                          write_metrics)
         finish_rank_metrics(write_metrics, t0)
         return parse_metrics.merge(write_metrics)
 
 
-def _parse_rank_records(spec: PreprocessSpec,
-                        metrics: RankMetrics) -> list:
-    """Parse the spec's SAM byte range into alignment records."""
+def _transpose_rank(spec: PreprocessSpec,
+                    metrics: RankMetrics) -> tuple[ColumnSlab, list]:
+    """The spec's SAM byte range as one column slab, plus the records
+    the record encoder rejected (see :mod:`~repro.formats.sam_transpose`).
+    """
     reader = RangeLineReader(spec.sam_path, spec.start, spec.end,
                              chunk_size=spec.read_chunk, metrics=metrics)
-    records: list = []
-    with get_tracer().span("parse", "samp",
-                           args={"batch_size": spec.batch_size}):
-        for lines in reader.iter_batches(spec.batch_size):
-            records.extend(parse_sam_lines(lines))
-    return records
+    transposer = SamTransposer(SamHeader.from_text(spec.header_text))
+    with get_tracer().span("transpose", "samp",
+                           args={"batch_size": spec.batch_size}) as span:
+        slabs = [transposer.transpose(lines)
+                 for lines in reader.iter_batches(spec.batch_size)]
+        slab = concat_slabs(slabs or [transposer.transpose([])])
+        if span is not None:
+            span.args.update(records=transposer.count)
+    return slab, transposer.failures
 
 
-def _write_rank_store(spec: PreprocessSpec, records: list,
-                      metrics: RankMetrics) -> None:
-    """Plan the layout over *records* and write the BAMX/BAIX pair."""
+def _write_rank_store(spec: PreprocessSpec, slab: ColumnSlab,
+                      failures: list, metrics: RankMetrics) -> None:
+    """Write the rank's slab as its store and BAIX index.
+
+    Raises the record path's error instead if the transpose kept
+    *failures* aside.  Both files are written under temporary names and
+    renamed into place once the index is saved.
+    """
     tracer = get_tracer()
     header = SamHeader.from_text(spec.header_text)
-    layout = plan_layout(records)
-    if spec.store_format == "bamc":
-        from ..formats.bamc import BamcWriter
-        writer_ctx = BamcWriter(spec.bamx_path, header, layout,
-                                slab_records=spec.batch_size)
-    else:
-        writer_ctx = BamxWriter(spec.bamx_path, header, layout)
-    with tracer.span("write", "samp", args={"records": len(records)}), \
-            writer_ctx as writer:
-        with tracer.span("batch.encode", "samp",
-                         args={"batch_size": spec.batch_size}):
-            for off in range(0, len(records), spec.batch_size):
-                writer.write_batch(records[off:off + spec.batch_size])
+    if failures:
+        raise_failure(failures, slab, header, spec.store_format,
+                      spec.batch_size)
+    layout = BamxLayout.of_columns([slab])
     baix_path = default_index_path(spec.bamx_path)
-    with tracer.span("index", "samp") as span:
-        # Record i of the rank landed at store index i.
-        index = BaixIndex.build(enumerate(records), header)
-        index.save(baix_path)
-        if span is not None:
-            span.args.update(entries=len(index))
+    suffix = f".tmp{os.getpid()}"
+    store_tmp, baix_tmp = spec.bamx_path + suffix, baix_path + suffix
+    with staged_outputs([(store_tmp, spec.bamx_path),
+                         (baix_tmp, baix_path)]):
+        if spec.store_format == "bamc":
+            writer = BamcWriter(store_tmp, header, layout,
+                                slab_records=spec.batch_size)
+        else:
+            writer = BamxWriter(store_tmp, header, layout)
+        with tracer.span("write", "samp", args={"records": slab.count}), \
+                writer:
+            writer.write_columns(slab)
+        with tracer.span("index", "samp") as span:
+            index = BaixIndex.from_slabs([slab])
+            index.save(baix_tmp)
+            if span is not None:
+                span.args.update(entries=len(index))
     metrics.bytes_written += (os.path.getsize(spec.bamx_path)
                               + os.path.getsize(baix_path))
 
 
 def _preprocess_rank_task(spec: PreprocessSpec):
-    """Parse one SAM partition and write it as an aligned BAMX file.
+    """Transpose one SAM partition and write it as a record store.
 
-    The rank's records are held in memory between the layout-planning
-    pass and the write pass; with the even partitioning of Algorithm 1
-    each rank holds ~1/M of the dataset, which is the same working-set
-    assumption the paper's in-memory buffers make.
+    The rank's columns are held in memory until its capacities are
+    known; with the even partitioning of Algorithm 1 each rank holds
+    ~1/M of the dataset, which is the same working-set assumption the
+    paper's in-memory buffers make.
 
-    A ``parse_only`` shard stops after the parse phase and returns
-    ``(metrics, records)`` for the driver-side reduction
+    A ``parse_only`` shard stops after the transpose and returns
+    ``(metrics, (slab, failures))`` for the per-rank reduction
     (:meth:`PreprocessSpec.merge_shards`).
     """
     t0 = time.perf_counter()
     metrics = RankMetrics()
-    records = _parse_rank_records(spec, metrics)
-    metrics.records = len(records)
-    metrics.emitted = len(records)
+    slab, failures = _transpose_rank(spec, metrics)
+    metrics.records = slab.count + len(failures)
+    metrics.emitted = metrics.records
     if spec.parse_only:
-        return finish_rank_metrics(metrics, t0), records
-    _write_rank_store(spec, records, metrics)
+        return finish_rank_metrics(metrics, t0), (slab, failures)
+    _write_rank_store(spec, slab, failures, metrics)
     return finish_rank_metrics(metrics, t0)
+
+
+def _identity(path: str) -> tuple[int, int] | None:
+    """``(inode, mtime)`` of *path*, or None if it does not exist."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return st.st_ino, st.st_mtime_ns
 
 
 class PreprocSamConverter:
@@ -182,9 +219,11 @@ class PreprocSamConverter:
                    work_dir: str | os.PathLike[str], nprocs: int = 1,
                    executor: str = "simulate",
                    ) -> tuple[list[str], list[RankMetrics]]:
-        """Parallel preprocessing: M ranks, M BAMX/BAIX file pairs.
+        """Parallel preprocessing: M ranks, M store/BAIX file pairs.
 
-        Returns the BAMX paths (rank order) and per-rank metrics.
+        Returns the store paths (rank order) and per-rank metrics.  If
+        any rank fails, the files the other ranks of this call wrote
+        are removed before the error propagates.
         """
         if nprocs < 1:
             raise ConversionError(f"nprocs {nprocs} must be >= 1")
@@ -222,9 +261,20 @@ class PreprocSamConverter:
                 )
                 for p in partitions
             ]
-            metrics = execute_rank_tasks(
-                _preprocess_rank_task, specs, executor,
-                shards_per_rank=shards, tuning=tuning)
+            outputs = [path for spec in specs for path in
+                       (spec.bamx_path, default_index_path(spec.bamx_path))]
+            before = {path: _identity(path) for path in outputs}
+            try:
+                metrics = execute_rank_tasks(
+                    _preprocess_rank_task, specs, executor,
+                    shards_per_rank=shards, tuning=tuning)
+            except BaseException:
+                # A rank failed: remove what the other ranks of this
+                # call wrote, leaving files from earlier runs alone.
+                for path in outputs:
+                    if _identity(path) not in (None, before[path]):
+                        os.remove(path)
+                raise
             record_tuning(tracer, tuning)
         return [s.bamx_path for s in specs], metrics
 

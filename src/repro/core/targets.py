@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from ..errors import ConversionError
+from ..errors import ConversionError, SamFormatError
 from ..formats import bam as _bam
 from ..formats import json_fmt, yaml_fmt
 from ..formats.header import SamHeader
@@ -126,6 +126,9 @@ class FastqTarget(TargetFormat):
         qual = record.original_qualities()
         if qual == "*":
             qual = "!" * len(seq)
+        elif len(qual) != len(seq):
+            raise SamFormatError(
+                f"QUAL length {len(qual)} != SEQ length {len(seq)}")
         mate = record.mate_number
         suffix = f"/{mate}" if mate else ""
         return f"@{record.qname}{suffix}\n{seq}\n+\n{qual}"

@@ -36,6 +36,7 @@ from __future__ import annotations
 import os
 import struct
 from collections.abc import Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from ..errors import IndexError_
 from .bamx import BamxReader
 from .header import SamHeader
 from .record import AlignmentRecord
+
+if TYPE_CHECKING:
+    from .bamc import ColumnSlab
 
 MAGIC = b"BAIX\x02"
 MAGIC_V1 = b"BAIX\x01"
@@ -111,6 +115,22 @@ class BaixIndex:
         order = np.lexsort((indices, starts, ref_ids))
         return cls(ref_ids[order], starts[order], indices[order],
                    ends[order])
+
+    @classmethod
+    def from_slabs(cls, slabs: Iterable[ColumnSlab]) -> "BaixIndex":
+        """Index the placed records (a reference and a position) of
+        ColumnSlabs whose ``start`` is their first record's index."""
+        columns = []
+        for slab in slabs:
+            placed = (slab.ref_id >= 0) & (slab.pos >= 0)
+            columns.append((slab.ref_id[placed], slab.pos[placed],
+                            slab.end_pos[placed],
+                            slab.start + np.flatnonzero(placed)))
+        if not columns:
+            return cls.from_columns(*(np.empty(0, np.int32),) * 3,
+                                    np.empty(0, np.int64))
+        return cls.from_columns(*(np.concatenate(parts)
+                                  for parts in zip(*columns)))
 
     @classmethod
     def from_bamx(cls, reader: BamxReader) -> "BaixIndex":

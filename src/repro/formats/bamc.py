@@ -267,6 +267,127 @@ def _slab_bytes(slab: ColumnSlab) -> bytes:
     return b"".join(parts)
 
 
+#: ColumnSlab's fixed columns and ``(lo, hi, blob)`` sections, in field
+#: order.
+_FIXED_COLUMNS = ("ref_id", "pos", "end_pos", "next_ref", "next_pos",
+                  "tlen", "l_seq", "flag", "mapq")
+_SECTIONS = tuple((f"{name}_lo", f"{name}_hi", f"{name}_blob")
+                  for name in ("name", "cigar", "seq", "qual", "tag"))
+
+
+def concat_slabs(slabs: Sequence[ColumnSlab]) -> ColumnSlab:
+    """One slab holding the records of *slabs* in order, from record 0."""
+    fixed = [np.concatenate([getattr(slab, name) for slab in slabs])
+             for name in _FIXED_COLUMNS]
+    sections = []
+    for lo, hi, blob in _SECTIONS:
+        lengths = np.concatenate([getattr(slab, hi).astype(np.int64)
+                                  - getattr(slab, lo) for slab in slabs])
+        ends = np.cumsum(lengths)
+        sections += [ends - lengths, ends]
+    blobs = [b"".join(packed_field(getattr(slab, lo), getattr(slab, hi),
+                                   getattr(slab, blob)).tobytes()
+                      for slab in slabs) for lo, hi, blob in _SECTIONS]
+    return ColumnSlab(0, len(fixed[0]), *fixed, *sections, *blobs)
+
+
+def record_columns(records: Sequence[AlignmentRecord], header: SamHeader,
+                   layout: BamxLayout | None = None) -> ColumnSlab:
+    """The record path's encoder: *records* as one ColumnSlab.
+
+    Raises what the record store writers raise for a record they cannot
+    store: :class:`CapacityError` for a field beyond *layout* (skipped
+    when *layout* is None), the tag codec's errors, an unknown reference,
+    an invalid base, a QUAL/SEQ length mismatch, and — once every record
+    passed those — :class:`OverflowError` for a value outside its
+    column's range.
+    """
+    n = len(records)
+    ref_ids = [0] * n
+    poss = [0] * n
+    ends = [0] * n
+    next_refs = [0] * n
+    next_poss = [0] * n
+    tlens = [0] * n
+    l_seqs = [0] * n
+    flags = [0] * n
+    mapqs = [0] * n
+    names: list[bytes] = []
+    cigars: list[bytes] = []
+    seqs: list[bytes] = []
+    quals: list[bytes] = []
+    tags: list[bytes] = []
+    for i, record in enumerate(records):
+        name = record.qname.encode("ascii")
+        if layout is not None and len(name) > layout.name_cap:
+            raise CapacityError(
+                f"read name of {len(name)} bytes exceeds layout "
+                f"capacity {layout.name_cap}")
+        words = encode_ops(record.cigar)
+        if layout is not None and len(words) > layout.cigar_cap:
+            raise CapacityError(
+                f"{len(words)} CIGAR ops exceed layout capacity "
+                f"{layout.cigar_cap}")
+        l_seq = 0 if record.seq == "*" else len(record.seq)
+        if layout is not None and l_seq > layout.seq_cap:
+            raise CapacityError(
+                f"sequence of {l_seq} bases exceeds layout "
+                f"capacity {layout.seq_cap}")
+        tag_block = encode_tags(record.tags)
+        if layout is not None and len(tag_block) > layout.tag_cap:
+            raise CapacityError(
+                f"tag block of {len(tag_block)} bytes exceeds "
+                f"layout capacity {layout.tag_cap}")
+        ref_id = -1 if record.rname == "*" \
+            else header.ref_id(record.rname)
+        if record.rnext == "*":
+            next_ref = -1
+        elif record.rnext == "=":
+            next_ref = ref_id
+        else:
+            next_ref = header.ref_id(record.rnext)
+        ref_ids[i] = ref_id
+        poss[i] = record.pos
+        ends[i] = record.end
+        next_refs[i] = next_ref
+        next_poss[i] = record.pnext
+        tlens[i] = record.tlen
+        l_seqs[i] = l_seq
+        flags[i] = record.flag
+        mapqs[i] = record.mapq
+        names.append(name)
+        cigars.append(struct.pack(f"<{len(words)}I", *words))
+        if l_seq:
+            seqs.append(pack_sequence(record.seq))
+            if record.qual == "*":
+                quals.append(b"\xff" * l_seq)
+            else:
+                if len(record.qual) != l_seq:
+                    raise BamxFormatError(
+                        f"QUAL length {len(record.qual)} != SEQ "
+                        f"length {l_seq}")
+                quals.append(qual_text_to_bytes(record.qual))
+        else:
+            seqs.append(b"")
+            quals.append(b"")
+        tags.append(tag_block)
+    sections = [_section(blobs)
+                for blobs in (names, cigars, seqs, quals, tags)]
+    (name_lo, name_hi, name_blob), (cigar_lo, cigar_hi, cigar_blob), \
+        (seq_lo, seq_hi, seq_blob), (qual_lo, qual_hi, qual_blob), \
+        (tag_lo, tag_hi, tag_blob) = sections
+    # Typed up front: a value out of its column's range raises.
+    return ColumnSlab(
+        -1, n, np.array(ref_ids, "<i4"), np.array(poss, "<i4"),
+        np.array(ends, "<i4"), np.array(next_refs, "<i4"),
+        np.array(next_poss, "<i4"), np.array(tlens, "<i4"),
+        np.array(l_seqs, "<i4"), np.array(flags, "<u2"),
+        np.array(mapqs, "u1"),
+        name_lo, name_hi, cigar_lo, cigar_hi, seq_lo, seq_hi,
+        qual_lo, qual_hi, tag_lo, tag_hi,
+        name_blob, cigar_blob, seq_blob, qual_blob, tag_blob)
+
+
 def _parse_slab(buf: bytes, start: int, count: int) -> ColumnSlab:
     """Build a :class:`ColumnSlab` over one raw slab buffer."""
     off = 0
@@ -377,94 +498,8 @@ class BamcWriter:
             return
         self._slab_offsets.append(self._fh.tell())
         self._slab_counts.append(len(records))
-        self._fh.write(self._encode_slab(records))
-
-    def _encode_slab(self, records: list[AlignmentRecord]) -> bytes:
-        layout, header = self.layout, self.header
-        n = len(records)
-        ref_ids = [0] * n
-        poss = [0] * n
-        ends = [0] * n
-        next_refs = [0] * n
-        next_poss = [0] * n
-        tlens = [0] * n
-        l_seqs = [0] * n
-        flags = [0] * n
-        mapqs = [0] * n
-        names: list[bytes] = []
-        cigars: list[bytes] = []
-        seqs: list[bytes] = []
-        quals: list[bytes] = []
-        tags: list[bytes] = []
-        for i, record in enumerate(records):
-            name = record.qname.encode("ascii")
-            if len(name) > layout.name_cap:
-                raise CapacityError(
-                    f"read name of {len(name)} bytes exceeds layout "
-                    f"capacity {layout.name_cap}")
-            words = encode_ops(record.cigar)
-            if len(words) > layout.cigar_cap:
-                raise CapacityError(
-                    f"{len(words)} CIGAR ops exceed layout capacity "
-                    f"{layout.cigar_cap}")
-            l_seq = 0 if record.seq == "*" else len(record.seq)
-            if l_seq > layout.seq_cap:
-                raise CapacityError(
-                    f"sequence of {l_seq} bases exceeds layout "
-                    f"capacity {layout.seq_cap}")
-            tag_block = encode_tags(record.tags)
-            if len(tag_block) > layout.tag_cap:
-                raise CapacityError(
-                    f"tag block of {len(tag_block)} bytes exceeds "
-                    f"layout capacity {layout.tag_cap}")
-            ref_id = -1 if record.rname == "*" \
-                else header.ref_id(record.rname)
-            if record.rnext == "*":
-                next_ref = -1
-            elif record.rnext == "=":
-                next_ref = ref_id
-            else:
-                next_ref = header.ref_id(record.rnext)
-            ref_ids[i] = ref_id
-            poss[i] = record.pos
-            ends[i] = record.end
-            next_refs[i] = next_ref
-            next_poss[i] = record.pnext
-            tlens[i] = record.tlen
-            l_seqs[i] = l_seq
-            flags[i] = record.flag
-            mapqs[i] = record.mapq
-            names.append(name)
-            cigars.append(struct.pack(f"<{len(words)}I", *words))
-            if l_seq:
-                seqs.append(pack_sequence(record.seq))
-                if record.qual == "*":
-                    quals.append(b"\xff" * l_seq)
-                else:
-                    if len(record.qual) != l_seq:
-                        raise BamxFormatError(
-                            f"QUAL length {len(record.qual)} != SEQ "
-                            f"length {l_seq}")
-                    quals.append(qual_text_to_bytes(record.qual))
-            else:
-                seqs.append(b"")
-                quals.append(b"")
-            tags.append(tag_block)
-        sections = [_section(blobs)
-                    for blobs in (names, cigars, seqs, quals, tags)]
-        (name_lo, name_hi, name_blob), (cigar_lo, cigar_hi, cigar_blob), \
-            (seq_lo, seq_hi, seq_blob), (qual_lo, qual_hi, qual_blob), \
-            (tag_lo, tag_hi, tag_blob) = sections
-        # Typed up front: a value out of its column's range raises.
-        return _slab_bytes(ColumnSlab(
-            -1, n, np.array(ref_ids, "<i4"), np.array(poss, "<i4"),
-            np.array(ends, "<i4"), np.array(next_refs, "<i4"),
-            np.array(next_poss, "<i4"), np.array(tlens, "<i4"),
-            np.array(l_seqs, "<i4"), np.array(flags, "<u2"),
-            np.array(mapqs, "u1"),
-            name_lo, name_hi, cigar_lo, cigar_hi, seq_lo, seq_hi,
-            qual_lo, qual_hi, tag_lo, tag_hi,
-            name_blob, cigar_blob, seq_blob, qual_blob, tag_blob))
+        self._fh.write(_slab_bytes(record_columns(records, self.header,
+                                                  self.layout)))
 
     def write_columns(self, slab: ColumnSlab) -> int:
         """Append *slab*'s records; return the first one's index.

@@ -330,9 +330,9 @@ def column_rows(slab: ColumnSlab, layout: BamxLayout) -> np.ndarray:
     rows = np.zeros((slab.count, layout.record_size), dtype=np.uint8)
     fixed = rows[:, :_FIXED.size].view(_FIXED_DTYPE)[:, 0]
     name_len, n_cigar, l_seq, tag_len = field_lengths(slab)
-    if (tag_len > 0xFFFF).any():
-        # The record path's struct.pack of the u16 field fails here.
-        raise struct.error("tag block longer than 65535 bytes")
+    if (tag_len > 0xFFFF).any() or (n_cigar > 0xFFFF).any():
+        # The record path's struct.pack of the u16 fields fails here.
+        raise struct.error("tag block or CIGAR longer than 65535 units")
     for name, column in (
             ("ref_id", slab.ref_id), ("pos", slab.pos),
             ("mapq", slab.mapq), ("name_len", name_len),

@@ -141,6 +141,8 @@ def _sam_fast_fastq(cols: list[str]) -> str | None:
     if seq == "*":
         return None
     qual = cols[10]
+    if qual != "*" and len(qual) != len(seq):
+        raise FallbackToRecord
     if flag & 0x10:
         seq = reverse_complement(seq)
         if qual != "*":

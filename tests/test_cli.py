@@ -165,6 +165,25 @@ def test_validate_subcommand_dirty(tmp_path, capsys):
     assert "UNKNOWN_REFERENCE" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pipeline", ["batch", "record"])
+@pytest.mark.parametrize("executor", ["simulate", "process"])
+def test_truncated_sam_to_fastq_fails(sim_sam, tmp_path, capsys,
+                                      pipeline, executor):
+    """A SAM cut mid-QUAL must not convert to FASTQ with exit 0."""
+    data = sim_sam.read_bytes().rstrip(b"\n")
+    line_start = data.rindex(b"\n") + 1
+    fields = data[line_start:].split(b"\t")
+    seq_len = len(fields[9])
+    qual_start = line_start + sum(len(f) + 1 for f in fields[:10])
+    cut = tmp_path / "cut.sam"
+    cut.write_bytes(data[:qual_start + 35])
+    assert run(["convert", str(cut), "--target", "fastq", "--out-dir",
+                str(tmp_path / "o"), "--pipeline", pipeline,
+                "--executor", executor, "--nprocs", "2"]) != 0
+    assert f"QUAL length 35 != SEQ length {seq_len}" \
+        in capsys.readouterr().err
+
+
 def test_convert_with_filter(sim_sam, tmp_path, capsys):
     out = tmp_path / "filtered"
     assert run(["convert", str(sim_sam), "--target", "bed",

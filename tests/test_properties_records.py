@@ -156,3 +156,29 @@ def test_bam_preprocess_matches_record_path(batch, slab_records):
             new = transposed(bam, f"{d}/new/s.{kind}", kind, slab_records)
             for a, b in zip(ref, new):
                 assert open(a, "rb").read() == open(b, "rb").read(), b
+
+
+@given(st.lists(records(), min_size=1, max_size=12), st.integers(1, 8),
+       st.integers(1, 3))
+@settings(max_examples=25, deadline=None)
+def test_sam_preprocess_matches_record_path(batch, batch_size, nprocs):
+    """Random records -> SAM -> PreprocSamConverter writes the same
+    bytes as the record path, for every store, slab size and rank
+    count."""
+    import pathlib
+
+    from repro.formats.sam import write_sam
+    from tests.test_sam_transpose import STORES, reference, transposed
+    with tempfile.TemporaryDirectory() as d:
+        sam = f"{d}/r.sam"
+        write_sam(sam, HDR, batch)
+        for kind in STORES:
+            pathlib.Path(f"{d}/ref-{kind}").mkdir()
+            pathlib.Path(f"{d}/new-{kind}").mkdir()
+            ref = reference(sam, f"{d}/ref-{kind}", kind, nprocs,
+                            batch_size)
+            new = transposed(sam, f"{d}/new-{kind}", kind, nprocs,
+                             batch_size)
+            assert len(ref) == len(new)
+            for a, b in zip(ref, new):
+                assert open(a, "rb").read() == open(b, "rb").read(), b

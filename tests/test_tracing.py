@@ -380,8 +380,9 @@ def test_samp_preprocess_spans(installed_tracer, sam_file, tmp_path):
     PreprocSamConverter().preprocess(sam_file, str(tmp_path / "w"),
                                      nprocs=2)
     names = _span_names(installed_tracer)
-    assert {"preprocess", "partition", "rank", "parse", "write",
+    assert {"preprocess", "partition", "rank", "transpose", "write",
             "index"} <= names
+    assert not {"parse", "batch.encode"} & names
 
 
 def test_region_conversion_spans(installed_tracer, bam_file, tmp_path):
